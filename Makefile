@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test bench bench-smoke tables examples vet oblivcheck trace-check lint cover race race-parallel failure-sweep fuzz soak profile profile-rounds sweep sweep-smoke clean
+.PHONY: all test bench bench-smoke bench-check tables examples vet oblivcheck trace-check lint cover race race-parallel failure-sweep fuzz soak profile profile-rounds sweep sweep-smoke clean
 
 all: vet test
 
@@ -43,16 +43,21 @@ lint: vet oblivcheck
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One-iteration pass over the E-series benches, serial then under each
-# parallel backend and their composition: a cheap crash/divergence gate
-# (OBLIVHM_PARALLEL / OBLIVHM_PARALLEL_ROUNDS make benchMO verify the
-# parallel metrics against an untimed serial reference), not a timing run.
+# One-iteration pass over the E-series benches, serial then under the
+# parallel-rounds backend: a cheap crash/divergence gate
+# (OBLIVHM_PARALLEL_ROUNDS makes benchMO verify the parallel metrics against
+# an untimed serial reference), not a timing run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'E[0-9]' -benchtime 1x .
-	OBLIVHM_PARALLEL=4 $(GO) test -run '^$$' -bench 'E[0-9]' -benchtime 1x .
 	OBLIVHM_PARALLEL_ROUNDS=4 $(GO) test -run '^$$' -bench 'E[0-9]' -benchtime 1x .
-	OBLIVHM_PARALLEL_ROUNDS=4 OBLIVHM_PARALLEL=4 $(GO) test -run '^$$' -bench 'E[0-9]' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'RoundLoop' -benchtime 1x .
+
+# The benchmark module (bench/, its own go.mod) builds against the simulator
+# one directory up; its tests prove it still builds and runs against the
+# current API, including the deprecated core.WithParallel forward and the
+# par2/pr2par2 option-set names it still uses.
+bench-check:
+	cd bench && $(GO) test ./...
 
 # Regenerate the paper's Table I / Table II / ablation measurements
 # (EXPERIMENTS.md records a captured run).
@@ -94,12 +99,12 @@ cover:
 race:
 	$(GO) test -race ./internal/core/... ./internal/harness/... ./internal/sweep ./cmd/tables
 
-# Race-check both parallel backends end to end: stream-level machine
-# equivalence, engine-level schedule equivalence (replay pipeline AND the
-# phase-split parallel-rounds engine, DESIGN.md §8/§11), and the harness
-# golden matrix + chaos sweep, all with real worker threads underneath.
+# Race-check the parallel-rounds backend end to end (DESIGN.md §11):
+# concurrent fan-in recording in the machine, engine-level schedule
+# equivalence against the serial and reference engines, and the harness
+# golden matrix + chaos sweep, all with real speculator threads underneath.
 race-parallel:
-	$(GO) test -race -run 'Parallel' ./internal/hm ./internal/core ./internal/harness
+	$(GO) test -race -run 'ParallelRounds|ParallelFanEpoch' ./internal/hm ./internal/core ./internal/harness
 
 # Failure-injection gate: the seeded kill/straggler/cache-fault suite and
 # the 16-seed failure sweep over the golden matrix under the race detector,
@@ -129,7 +134,7 @@ fuzz:
 
 # Flame-graph starting point for perf work: profile a representative
 # simulated run.  Override PROFILE_ARGS for other workloads, e.g.
-# PROFILE_ARGS="-algo mm -machine mc3 -n 16384 -parallel 4 -repeat 5".
+# PROFILE_ARGS="-algo mm -machine mc3 -n 16384 -parallel-rounds 4 -repeat 5".
 PROFILE_ARGS ?= -algo sort -machine hm4 -n 8192 -repeat 10
 profile:
 	$(GO) run ./cmd/hmsim $(PROFILE_ARGS) -cpuprofile cpu.out -memprofile mem.out
@@ -138,7 +143,7 @@ profile:
 # Re-measure the scheduler residue (DESIGN.md §11, BENCH_PR*.json): serial
 # cpuprofiles of the five workloads the bench records track, then the
 # cumulative share of core.(*engine).loop from each — the fraction of the
-# run that stays serial under the composed parallel backends.
+# run that stays serial under the parallel-rounds backend.
 profile-rounds:
 	@mkdir -p bin
 	$(GO) build -o bin/hmsim ./cmd/hmsim

@@ -22,13 +22,13 @@ import (
 	"oblivhm/internal/spms"
 )
 
-// parallelEnvWorkers reads OBLIVHM_PARALLEL / OBLIVHM_PARALLEL_ROUNDS:
-// when either is set to a positive worker count, every simulated MO bench
-// runs under the corresponding backend (core.WithParallel /
-// core.WithParallelRounds; both set = composed) and is checked against an
-// untimed serial reference run — the CI bench-smoke job uses this to fail
-// on metric divergence (never on wall-clock).
-func parallelEnvWorkers(b *testing.B, name string) int {
+// parallelRoundsEnvWorkers reads OBLIVHM_PARALLEL_ROUNDS: when it is set to
+// a positive worker count, every simulated MO bench runs under
+// core.WithParallelRounds and is checked against an untimed serial
+// reference run — the CI bench-smoke job uses this to fail on metric
+// divergence (never on wall-clock).
+func parallelRoundsEnvWorkers(b *testing.B) int {
+	const name = "OBLIVHM_PARALLEL_ROUNDS"
 	v := os.Getenv(name)
 	if v == "" {
 		return 0
@@ -61,21 +61,13 @@ func moMetricsEqual(a, b harness.MOResult) bool {
 func benchMO(b *testing.B, algo, machine string, n int, opts ...core.Opt) {
 	b.Helper()
 	var serial *harness.MOResult
-	wp := parallelEnvWorkers(b, "OBLIVHM_PARALLEL")
-	wr := parallelEnvWorkers(b, "OBLIVHM_PARALLEL_ROUNDS")
-	if wp > 0 || wr > 0 {
+	if wr := parallelRoundsEnvWorkers(b); wr > 0 {
 		ref, err := harness.RunMO(algo, machine, n, opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
 		serial = &ref
-		opts = append([]core.Opt{}, opts...)
-		if wr > 0 {
-			opts = append(opts, core.WithParallelRounds(wr))
-		}
-		if wp > 0 {
-			opts = append(opts, core.WithParallel(wp))
-		}
+		opts = append(append([]core.Opt{}, opts...), core.WithParallelRounds(wr))
 		b.ResetTimer() // the serial reference run is not part of the measurement
 	}
 	var res harness.MOResult
@@ -175,11 +167,11 @@ func BenchmarkE15NGEPB8(b *testing.B) { benchNO(b, "ngep", 1<<10, 16, 8) }
 
 // benchRoundLoop runs a Tick-only fork-join workload on hm4: strands
 // consume virtual time without touching memory, so the cache hierarchy and
-// the replay pipeline stay idle and the measurement isolates the scheduler
+// the fan-in buffers stay idle and the measurement isolates the scheduler
 // round loop itself — resume/yield handoffs, budget accounting, queue
 // churn, and (under WithParallelRounds) the speculation/commit machinery.
-// The E-benches above are dominated by cache replay; these give round-loop
-// work a direct signal.
+// The E-benches above are dominated by the cache walk; these give
+// round-loop work a direct signal.
 func benchRoundLoop(b *testing.B, tasks, ticks int, opts ...core.Opt) {
 	b.Helper()
 	cfg, err := harness.Machine("hm4")
@@ -262,10 +254,10 @@ func BenchmarkRoundLoopCommitHeavyParallelRounds(b *testing.B) {
 }
 
 // benchRoundMem is benchRoundLoop with real memory traffic: PFor strands
-// stream over disjoint slices of one array, so under the composed backends
+// stream over disjoint slices of one array, so under WithParallelRounds
 // every pure round records into the fan-in buffers and the commit path
-// carries the full access stream — the epoch dispatch into the replay
-// pipeline is what's being measured, not the tick loop.
+// carries the full access stream — the fan-in record and flush is what's
+// being measured, not the tick loop.
 func benchRoundMem(b *testing.B, opts ...core.Opt) {
 	b.Helper()
 	cfg, err := harness.Machine("hm4")
@@ -304,15 +296,13 @@ func benchRoundMem(b *testing.B, opts ...core.Opt) {
 	b.ReportMetric(float64(steps), "vsteps")
 }
 
-// BenchmarkRoundLoopMemSerial / BenchmarkRoundLoopComposedDispatch: the
-// memory-streaming workload serial vs fully composed (parallel rounds +
-// replay pipeline), where bulk commits hand whole epochs of recorded
-// chunks to the pipeline as single zero-copy batches.
+// BenchmarkRoundLoopMemSerial / BenchmarkRoundLoopMemParallelRounds: the
+// memory-streaming workload serial vs parallel rounds, where bulk commits
+// flush whole epochs of recorded chunks through the serial cache walk.
 func BenchmarkRoundLoopMemSerial(b *testing.B) { benchRoundMem(b) }
 
-func BenchmarkRoundLoopComposedDispatch(b *testing.B) {
-	w := prBenchWorkers()
-	benchRoundMem(b, core.WithParallelRounds(w), core.WithParallel(w))
+func BenchmarkRoundLoopMemParallelRounds(b *testing.B) {
+	benchRoundMem(b, core.WithParallelRounds(prBenchWorkers()))
 }
 
 // ---- native (real goroutine) throughput of the same algorithm code ----

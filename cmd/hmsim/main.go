@@ -6,7 +6,6 @@
 //
 //	hmsim -algo fft -n 4096 -machine hm4
 //	hmsim -algo gep -n 4096 -machine mc3 -flat   (E13 scheduler ablation)
-//	hmsim -algo sort -n 4096 -parallel 4         (parallel cache replay)
 //	hmsim -algo sort -n 4096 -parallel-rounds 4  (parallel round execution)
 //	hmsim -algo mm -n 4096 -repeat 10 -cpuprofile cpu.out -memprofile mem.out
 package main
@@ -32,12 +31,17 @@ func main() {
 	steal := flag.Bool("steal", false, "extension: idle cores steal unstarted strands")
 	trace := flag.Bool("trace", false, "print a scheduler trace summary and core timeline")
 	quantum := flag.Int64("quantum", 32, "virtual-time quantum (ops per core per round)")
-	parallel := flag.Int("parallel", 0, "parallel cache-replay workers (0 = serial, -1 = GOMAXPROCS); metrics are byte-identical either way")
-	parRounds := flag.Int("parallel-rounds", 0, "parallel round-execution workers (0 = serial, -1 = GOMAXPROCS); metrics are byte-identical either way, composes with -parallel")
+	parRounds := flag.Int("parallel-rounds", 0, "parallel round-execution workers (0 = serial, -1 = GOMAXPROCS); metrics are byte-identical either way")
 	repeat := flag.Int("repeat", 1, "run the workload this many times (profiling/timing)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
+	if *n < 1 {
+		usageError("-n %d: input size must be at least 1", *n)
+	}
+	if *quantum < 1 {
+		usageError("-quantum %d: quantum must be at least 1", *quantum)
+	}
 
 	var opts []core.Opt
 	opts = append(opts, core.WithQuantum(*quantum))
@@ -46,9 +50,6 @@ func main() {
 	}
 	if *steal {
 		opts = append(opts, core.WithStealing())
-	}
-	if *parallel != 0 {
-		opts = append(opts, core.WithParallel(*parallel))
 	}
 	if *parRounds != 0 {
 		w := *parRounds
@@ -111,6 +112,14 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// usageError reports a bad flag value the way the flag package reports a
+// malformed flag: message, usage, exit status 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "hmsim: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -92,7 +92,6 @@ func main() {
 	duration := flag.Duration("duration", 30*time.Second, "soak time budget")
 	seed := flag.Int64("seed", 1, "master seed for the randomized sweep")
 	machines := flag.String("machines", "mc3,hm4,hm5", "comma-separated machine presets to sweep")
-	parallel := flag.Int("parallel", 0, "force this many cache-replay workers on every iteration (0 = mixed sweep incl. par2/par4 sets)")
 	failures := flag.Bool("failures", true, "include failure-injection iterations (seeded core kills, stragglers, cache faults)")
 	verbose := flag.Bool("v", false, "log every iteration")
 	flag.Parse()
@@ -115,26 +114,13 @@ func main() {
 		{"steal", []core.Opt{core.WithStealing()}},
 		{"flat", []core.Opt{core.WithFlatScheduler()}},
 		{"q8", []core.Opt{core.WithQuantum(8)}},
-		// Parallel cache replay: same metrics, real threads underneath —
-		// the determinism probes and chaos runs that land on these sets
-		// exercise the pipeline's drain points under the race detector.
-		{"par2", []core.Opt{core.WithParallel(2)}},
-		{"par4+steal", []core.Opt{core.WithParallel(4), core.WithStealing()}},
 		// Parallel round execution (DESIGN.md §11): the speculation phase
 		// runs per-core strands concurrently, so chaos runs landing on these
 		// sets pin the documented chaos fallback (chaos serializes the loop)
-		// and the determinism probes pin metric equality; composed sets also
-		// drive the replay pipeline from execution-phase threads.
+		// and the determinism probes pin metric equality.
 		{"pr2", []core.Opt{core.WithParallelRounds(2)}},
 		{"pr4", []core.Opt{core.WithParallelRounds(4)}},
-		{"pr2+par2", []core.Opt{core.WithParallelRounds(2), core.WithParallel(2)}},
 		{"pr4+steal", []core.Opt{core.WithParallelRounds(4), core.WithStealing()}},
-	}
-	if *parallel > 0 {
-		for i := range optSets {
-			optSets[i].name += fmt.Sprintf("+par%d", *parallel)
-			optSets[i].opts = append(append([]core.Opt(nil), optSets[i].opts...), core.WithParallel(*parallel))
-		}
 	}
 
 	var iters, chaosRuns, detProbes, noRuns, noBad, failRuns int

@@ -7,7 +7,7 @@ import (
 
 // Determinism enforces the engine's frozen determinism contract on every
 // non-test package under oblivhm/internal/: the golden-metrics snapshots,
-// the chaos same-seed reproducibility tests, and the parallel-replay
+// the chaos same-seed reproducibility tests, and the parallel-rounds
 // equivalence proofs all assume that a run is a pure function of (machine,
 // workload, seed). The analyzer rejects the constructs that break that:
 //
@@ -18,8 +18,9 @@ import (
 //   - iteration over a map (order is randomized per run by the runtime),
 //   - sync.Map (iteration order and interleaving are unspecified),
 //   - go statements outside the sanctioned entry points — the native-mode
-//     executor and the parsim replay workers, which carry
-//     //oblivcheck:allow annotations citing their equivalence proofs.
+//     executor, the strand coroutine and the parallel-rounds speculator
+//     launch, which carry //oblivcheck:allow annotations citing their
+//     equivalence proofs.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "engine and algorithm code must stay deterministic: no wall clock, unseeded rand, map order, sync.Map, or unsanctioned goroutines",
@@ -53,7 +54,7 @@ func runDeterminism(pass *Pass) {
 				checkDeterministicCall(pass, n)
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(),
-					"go statement outside the sanctioned native/parsim entry points: engine scheduling must not depend on runtime goroutine interleaving")
+					"go statement outside the sanctioned native entry points: engine scheduling must not depend on runtime goroutine interleaving")
 			case *ast.RangeStmt:
 				if tv, ok := pass.TypesInfo.Types[n.X]; ok {
 					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {

@@ -27,12 +27,6 @@ import "fmt"
 // With chaos disabled the engine takes none of these branches and draws no
 // random numbers: chaos mode is strictly additive to the determinism
 // contract.
-//
-// Chaos composes with the parallel backend (WithParallel) without any
-// per-core stream splitting: every chaos draw happens on the engine
-// goroutine, whose scheduling decisions never depend on cache state, so the
-// seeded stream — and therefore the perturbed schedule — is identical no
-// matter how the replay workers interleave on real threads.
 
 // chaosRNG is splitmix64: tiny, seedable, and good enough for schedule
 // perturbation.  math/rand is avoided so the engine stays allocation-free
@@ -114,12 +108,8 @@ func WithInvariants() Opt {
 // ---- per-round invariant checks ----
 
 // initInvariants snapshots the per-cache miss counters at the start of a
-// verified run (the monotonicity baseline).  Under WithParallel the replay
-// pipeline is drained first so the baseline — like every later check — sees
-// settled counters; the drain is observation-only and cannot change the
-// schedule.
+// verified run (the monotonicity baseline).
 func (e *engine) initInvariants() {
-	e.m.SyncReplay()
 	if e.prevMiss == nil {
 		e.prevMiss = make([][]int64, len(e.slots))
 		for i, level := range e.slots {
@@ -134,12 +124,8 @@ func (e *engine) initInvariants() {
 }
 
 // checkInvariants asserts the engine's bookkeeping after a round.  It is
-// only called with e.verify set and never mutates scheduler state.  The
-// miss-monotonicity check reads live cache counters, so any in-flight
-// parallel replay is drained first (a per-round cost that only verified
-// runs pay).
+// only called with e.verify set and never mutates scheduler state.
 func (e *engine) checkInvariants() error {
-	e.m.SyncReplay()
 	fail := func(name, format string, args ...any) error {
 		return &InvariantError{Clock: e.clock, Name: name, Detail: fmt.Sprintf(format, args...)}
 	}

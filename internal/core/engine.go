@@ -877,8 +877,8 @@ func (e *engine) forkChunk(target int, jn *join, fn func(*Ctx), words int64, rec
 // only a strictly smaller load displaces the running best, so ties resolve
 // to the lowest-indexed core.  This total order is part of the determinism
 // contract: placements must not depend on anything but engine state, which
-// is what lets the parallel replay backend (WithParallel) reproduce the
-// schedule byte for byte.  Chaos breaks the tie randomly instead — still
+// is what lets the parallel-rounds commit walk (WithParallelRounds)
+// reproduce the schedule byte for byte.  Chaos breaks the tie randomly instead — still
 // among the least-loaded cores, so the placement rule itself is preserved.
 func (e *engine) leastLoadedCore(c *hm.Cache) int {
 	// Dead cores are excluded from the scan.  When the whole shadow is dead

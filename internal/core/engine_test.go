@@ -180,3 +180,77 @@ func TestRunTwiceOnSameSession(t *testing.T) {
 		t.Error("second run recorded no steps")
 	}
 }
+
+// TestLeastLoadedCoreTieBreak pins the deterministic total order of core
+// placement: ascending scan over the shadow, strictly-smaller-load wins, so
+// equal loads resolve to the lowest core index.  The goldens freeze the
+// placements this order produces, and the parallel-rounds commit walk
+// reproduces the serial schedule only because placement depends on nothing
+// but engine state.
+func TestLeastLoadedCoreTieBreak(t *testing.T) {
+	m := hm.MustMachine(hm.MC3(8))
+	e := NewSim(m).eng
+	top := m.Top()
+
+	if got := e.leastLoadedCore(top); got != 0 {
+		t.Errorf("all loads zero: picked core %d, want 0", got)
+	}
+	for i := range e.load {
+		e.load[i] = 5
+	}
+	e.load[3], e.load[6] = 2, 2
+	if got := e.leastLoadedCore(top); got != 3 {
+		t.Errorf("tie between cores 3 and 6: picked %d, want the lower index 3", got)
+	}
+	e.load[6] = 1
+	if got := e.leastLoadedCore(top); got != 6 {
+		t.Errorf("core 6 strictly least loaded: picked %d", got)
+	}
+
+	// Restricted shadow: the scan starts at CoreLo, not core 0.
+	m4 := hm.MustMachine(hm.HM4(4, 4))
+	e4 := NewSim(m4).eng
+	l2 := m4.ByLevel[1][2] // covers cores [8, 12)
+	if got := e4.leastLoadedCore(l2); got != l2.CoreLo {
+		t.Errorf("empty shadow of L2[2]: picked core %d, want CoreLo %d", got, l2.CoreLo)
+	}
+	for i := l2.CoreLo; i < l2.CoreHi; i++ {
+		e4.load[i] = 1
+	}
+	e4.load[9], e4.load[11] = 0, 0
+	if got := e4.leastLoadedCore(l2); got != 9 {
+		t.Errorf("tie between cores 9 and 11: picked %d, want 9", got)
+	}
+}
+
+// TestLeastLoadedSlotTieBreak pins the slot placement order: the key is
+// used+len(queue) (reserved words plus queued tasks), candidates come in
+// ascending cache index, and ties resolve to the lowest index — the same
+// order the goldens and the parallel-rounds commit walk rely on.
+func TestLeastLoadedSlotTieBreak(t *testing.T) {
+	m := hm.MustMachine(hm.HM4(4, 4))
+	e := NewSim(m).eng
+	top := m.Top()
+
+	if got := e.leastLoadedSlot(top, 2); got != e.slots[1][0] {
+		t.Errorf("all slots empty: picked L2[%d], want L2[0]", got.cache.Index)
+	}
+	for _, s := range e.slots[1] {
+		s.used = 100
+	}
+	e.slots[1][1].used, e.slots[1][3].used = 40, 40
+	if got := e.leastLoadedSlot(top, 2); got != e.slots[1][1] {
+		t.Errorf("tie between L2[1] and L2[3]: picked L2[%d], want the lower index 1", got.cache.Index)
+	}
+	// Queue length is part of the key: one queued task breaks the tie.
+	e.slots[1][1].queue = append(e.slots[1][1].queue, pending{})
+	if got := e.leastLoadedSlot(top, 2); got != e.slots[1][3] {
+		t.Errorf("L2[1] has a queued task: picked L2[%d], want L2[3]", got.cache.Index)
+	}
+	e.slots[1][1].queue = nil
+	// A strictly smaller key at a higher index wins over lower indices.
+	e.slots[1][2].used = 39
+	if got := e.leastLoadedSlot(top, 2); got != e.slots[1][2] {
+		t.Errorf("L2[2] strictly least loaded: picked L2[%d], want 2", got.cache.Index)
+	}
+}

@@ -258,7 +258,6 @@ func (e *engine) noteFirstFailure() {
 	}
 	f.fired = true
 	f.rep.FirstFailureClock = e.clock
-	e.m.SyncReplay()
 	f.missBase = make([]int64, len(e.slots))
 	for i, level := range e.slots {
 		var tot int64
@@ -533,7 +532,6 @@ func (f *failInj) report(e *engine) *RecoveryReport {
 	rep.DeadCores = append([]int(nil), f.rep.DeadCores...)
 	rep.StragglerCores = append([]int(nil), f.rep.StragglerCores...)
 	if f.missBase != nil {
-		e.m.SyncReplay()
 		rep.PostFailureMissDelta = make([]int64, len(e.slots))
 		for i, level := range e.slots {
 			var tot int64

@@ -68,10 +68,7 @@ package core
 //     as the serial loop, and each replayed turn performs the same queue
 //     transitions the serial turn would.
 //   - Cache counters: chunks are flushed in (round, core) order — the
-//     serial interleaving — and each flush either walks the hierarchy
-//     in-line or bulk-feeds the PR 4 replay pipeline, which is itself
-//     byte-identical by the stream-equivalence argument of DESIGN.md §8.
-//     A speculator resumed live continues feeding the same stream from the
+//     serial interleaving — through the serial access walk.  A speculator resumed live continues feeding the same stream from the
 //     exact point its recording stopped, within the same turn.
 //   - Clock and trace: speculative rounds emit no events (pure work never
 //     does), and the commit walk advances e.clock once per round like any
@@ -125,9 +122,8 @@ const prEpochRounds = 64
 // commit phase replays the recorded rounds in the exact serial order.  The
 // schedule and every frozen observable — Steps, per-cache miss counters,
 // placements, steals, the trace stream — are byte-identical to the serial
-// default.  Composes with WithParallel (the recorded access chunks feed the
-// replay pipeline directly).  Chaos, invariant-checked and reference runs
-// stay fully serial.  workers <= 0 selects GOMAXPROCS.
+// default.  Chaos, invariant-checked and reference runs stay fully serial.
+// workers <= 0 selects GOMAXPROCS.
 func WithParallelRounds(workers int) Opt {
 	return func(s *Session) {
 		if s.eng != nil {

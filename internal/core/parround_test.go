@@ -4,8 +4,8 @@ package core
 // full runs on identical machines, serial vs phase-split, must agree on
 // every observable the determinism contract freezes — Steps, the complete
 // machine snapshot, placements, steals and the heap contents — alone, under
-// every scheduler option, composed with the WithParallel replay pipeline,
-// and on the failure path.  These run under -race in CI: the speculation
+// every scheduler option, through the deprecated WithParallel name, and on
+// the failure path.  These run under -race in CI: the speculation
 // phase is the only place the engine lets several strands execute at the
 // same real instant, so the race detector doubles as a proof that the
 // fan-in really has no shared mutable state.
@@ -17,6 +17,31 @@ import (
 
 	"oblivhm/internal/hm"
 )
+
+// parallelWorkload is a representative engine shape: binary SB recursion
+// with PFor leaves over a shared array, enough strands to keep several
+// cores busy.
+func parallelWorkload(s *Session) func(*Ctx) {
+	v := s.NewI64(1 << 12)
+	var rec func(c *Ctx, lo, hi int64, space int64)
+	rec = func(c *Ctx, lo, hi, space int64) {
+		if hi-lo <= 1<<8 {
+			c.PFor(int(hi-lo), 1, func(cc *Ctx, i0, i1 int) {
+				for i := i0; i < i1; i++ {
+					a := v.Base + Addr(lo+int64(i))
+					cc.StoreI(a, cc.LoadI(a)+lo+int64(i))
+				}
+			})
+			return
+		}
+		mid := (lo + hi) / 2
+		c.SpawnSB(
+			Task{Space: space / 2, Fn: func(cc *Ctx) { rec(cc, lo, mid, space/2) }},
+			Task{Space: space / 2, Fn: func(cc *Ctx) { rec(cc, mid, hi, space/2) }},
+		)
+	}
+	return func(c *Ctx) { rec(c, 0, 1<<12, 1<<14) }
+}
 
 // tickHeavyWorkload runs long pure stretches (ticks + array walks) between
 // rare forks — the best case for speculation, where epochs should span many
@@ -97,15 +122,22 @@ func parRoundWorkloads() map[string]func(*Session) func(*Ctx) {
 	}
 }
 
-func checkParRoundsEquiv(t *testing.T, name string, cfg hm.Config, opts []Opt, workload func(*Session) func(*Ctx), composed bool) {
+// Backends under test, as option builders for a worker count.  The
+// deprecated WithParallel name forwards to WithParallelRounds; prAlias and
+// prComposed are the option lists the bench module still passes for its
+// par2 and pr2par2 rows, kept pinned until those rows and the name go.
+var (
+	prOnly     = func(w int) []Opt { return []Opt{WithParallelRounds(w)} }
+	prAlias    = func(w int) []Opt { return []Opt{WithParallel(w)} }
+	prComposed = func(w int) []Opt { return []Opt{WithParallelRounds(w), WithParallel(w)} }
+)
+
+func checkParRoundsEquiv(t *testing.T, name string, cfg hm.Config, opts []Opt, workload func(*Session) func(*Ctx), backend func(int) []Opt) {
 	t.Helper()
 	t.Run(name, func(t *testing.T) {
 		serial := runEquiv(cfg, 1<<15, opts, workload, false)
 		for _, w := range []int{2, 4, 8} {
-			popts := append(append([]Opt{}, opts...), WithParallelRounds(w))
-			if composed {
-				popts = append(popts, WithParallel(w))
-			}
+			popts := append(append([]Opt{}, opts...), backend(w)...)
 			par := runEquiv(cfg, 1<<15, popts, workload, false)
 			if !reflect.DeepEqual(serial, par) {
 				t.Errorf("workers=%d diverged from serial:\nserial   %+v\nparallel %+v", w, serial, par)
@@ -119,23 +151,61 @@ func checkParRoundsEquiv(t *testing.T, name string, cfg hm.Config, opts []Opt, w
 func TestParallelRoundsMatchSerial(t *testing.T) {
 	for mname, cfg := range equivMachines() {
 		for wname, wl := range parRoundWorkloads() {
-			checkParRoundsEquiv(t, mname+"/"+wname, cfg, nil, wl, false)
+			checkParRoundsEquiv(t, mname+"/"+wname, cfg, nil, wl, prOnly)
 		}
-		checkParRoundsEquiv(t, mname+"/steal", cfg, []Opt{WithStealing()}, parallelWorkload, false)
-		checkParRoundsEquiv(t, mname+"/flat", cfg, []Opt{WithFlatScheduler()}, parallelWorkload, false)
-		checkParRoundsEquiv(t, mname+"/q8", cfg, []Opt{WithQuantum(8)}, parallelWorkload, false)
+		checkParRoundsEquiv(t, mname+"/steal", cfg, []Opt{WithStealing()}, parallelWorkload, prOnly)
+		checkParRoundsEquiv(t, mname+"/flat", cfg, []Opt{WithFlatScheduler()}, parallelWorkload, prOnly)
+		checkParRoundsEquiv(t, mname+"/q8", cfg, []Opt{WithQuantum(8)}, parallelWorkload, prOnly)
 	}
 }
 
-// TestParallelRoundsComposed: WithParallelRounds + WithParallel — recorded
-// chunks bulk-feed the replay pipeline, and everything must still match the
-// fully serial run.
+// TestParallelRoundsComposed: WithParallelRounds followed by the deprecated
+// WithParallel must still match the fully serial run.
 func TestParallelRoundsComposed(t *testing.T) {
 	for mname, cfg := range equivMachines() {
 		for wname, wl := range parRoundWorkloads() {
-			checkParRoundsEquiv(t, mname+"/"+wname, cfg, nil, wl, true)
+			checkParRoundsEquiv(t, mname+"/"+wname, cfg, nil, wl, prComposed)
 		}
-		checkParRoundsEquiv(t, mname+"/steal", cfg, []Opt{WithStealing()}, parallelWorkload, true)
+		checkParRoundsEquiv(t, mname+"/steal", cfg, []Opt{WithStealing()}, parallelWorkload, prComposed)
+	}
+}
+
+// TestParallelBackendMatchesSerial: the deprecated WithParallel name alone
+// across machine shapes and scheduler options.
+func TestParallelBackendMatchesSerial(t *testing.T) {
+	for mname, cfg := range equivMachines() {
+		checkParRoundsEquiv(t, mname, cfg, nil, parallelWorkload, prAlias)
+		checkParRoundsEquiv(t, mname+"/steal", cfg, []Opt{WithStealing()}, parallelWorkload, prAlias)
+		checkParRoundsEquiv(t, mname+"/flat", cfg, []Opt{WithFlatScheduler()}, parallelWorkload, prAlias)
+		checkParRoundsEquiv(t, mname+"/q8", cfg, []Opt{WithQuantum(8)}, parallelWorkload, prAlias)
+	}
+}
+
+// TestParallelBackendUnderChaos: the deprecated WithParallel name under
+// chaos lands on the chaos-only schedule, like WithParallelRounds does.
+func TestParallelBackendUnderChaos(t *testing.T) {
+	cfg := hm.HM4(4, 4)
+	for seed := int64(0); seed < 4; seed++ {
+		serial := runEquiv(cfg, 1<<15, []Opt{WithChaos(seed)}, parallelWorkload, false)
+		par := runEquiv(cfg, 1<<15, []Opt{WithChaos(seed), WithParallel(4)}, parallelWorkload, false)
+		if !reflect.DeepEqual(serial, par) {
+			t.Errorf("seed %d: chaos schedule diverged under WithParallel", seed)
+		}
+	}
+}
+
+// TestParallelBackendRepeatedRuns: one session opened with the deprecated
+// WithParallel name, several cold runs with identical metrics.
+func TestParallelBackendRepeatedRuns(t *testing.T) {
+	m := hm.MustMachine(hm.MC3(8))
+	s := NewSim(m, WithParallel(4))
+	root := parallelWorkload(s)
+	first := s.RunCold(1<<15, root)
+	for i := 0; i < 3; i++ {
+		again := s.RunCold(1<<15, root)
+		if !reflect.DeepEqual(first, again) {
+			t.Fatalf("run %d diverged from the first cold run:\nfirst %+v\nagain %+v", i+2, first, again)
+		}
 	}
 }
 
@@ -152,15 +222,9 @@ func TestParallelRoundsMatchReference(t *testing.T) {
 			t.Run(mname+"/"+wname, func(t *testing.T) {
 				ref := runEquiv(cfg, 1<<15, nil, wl, true)
 				for _, w := range []int{2, 4, 8} {
-					for _, composed := range []bool{false, true} {
-						popts := []Opt{WithParallelRounds(w)}
-						if composed {
-							popts = append(popts, WithParallel(w))
-						}
-						par := runEquiv(cfg, 1<<15, popts, wl, false)
-						if !reflect.DeepEqual(ref, par) {
-							t.Errorf("workers=%d composed=%v diverged from reference:\nreference %+v\nparallel  %+v", w, composed, ref, par)
-						}
+					par := runEquiv(cfg, 1<<15, []Opt{WithParallelRounds(w)}, wl, false)
+					if !reflect.DeepEqual(ref, par) {
+						t.Errorf("workers=%d diverged from reference:\nreference %+v\nparallel  %+v", w, ref, par)
 					}
 				}
 			})
@@ -242,7 +306,7 @@ func TestParallelRoundsUnderChaos(t *testing.T) {
 // state must reset completely between runs.
 func TestParallelRoundsRepeatedRuns(t *testing.T) {
 	m := hm.MustMachine(hm.MC3(8))
-	s := NewSim(m, WithParallelRounds(4), WithParallel(2))
+	s := NewSim(m, WithParallelRounds(4))
 	root := parallelWorkload(s)
 	first := s.RunCold(1<<15, root)
 	for i := 0; i < 3; i++ {

@@ -73,21 +73,11 @@ func WithFlatScheduler() Opt {
 	}
 }
 
-// WithParallel enables the parallel cache-replay backend on a simulated
-// session: the scheduler and the algorithm code stay on the calling
-// goroutine — so the frozen determinism contract holds by construction —
-// while the cache-hierarchy simulation, the dominant cost of a run, streams
-// to a pool of replay workers sharded by cache subtree plus an in-order
-// chain worker for the shared upper levels (DESIGN.md §8).  Every metric
-// (Steps, per-level miss counts, placements, steals, chaos streams) is
-// byte-identical to the serial default.  workers <= 0 selects GOMAXPROCS.
-func WithParallel(workers int) Opt {
-	return func(s *Session) {
-		if s.mach != nil {
-			s.mach.EnableParallelReplay(workers)
-		}
-	}
-}
+// WithParallel is the name of the removed cache-replay backend (DESIGN.md
+// §8), kept so existing callers still build.
+//
+// Deprecated: use WithParallelRounds, which it forwards to.
+func WithParallel(workers int) Opt { return WithParallelRounds(workers) }
 
 // NewSim creates a session executing on the simulated HM machine m.
 func NewSim(m *hm.Machine, opts ...Opt) *Session {
@@ -158,12 +148,7 @@ func (s *Session) TryRun(space int64, root func(*Ctx)) (RunStats, error) {
 		return RunStats{}, s.nativeRun(root)
 	}
 	s.mach.ResetStats()
-	err := s.eng.run(space, root)
-	// Parallel replay (WithParallel) drains and parks its worker pool at the
-	// end of every run — success or failure — so sessions need no Close and
-	// a harness can create thousands without leaking goroutines.
-	s.mach.StopReplay()
-	if err != nil {
+	if err := s.eng.run(space, root); err != nil {
 		return RunStats{}, err
 	}
 	s.mach.Steps = s.eng.clock

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"oblivhm/internal/core"
@@ -143,6 +144,19 @@ func TestMalformedConfigReturnsError(t *testing.T) {
 				t.Errorf("%s: no error from RunMOOnConfig", tc.name)
 			}
 		}()
+	}
+}
+
+// TestNonPositiveNReturnsError: an input size below 1 is rejected with an
+// error naming n, through RunMO and Run alike, instead of a "successful"
+// empty run.
+func TestNonPositiveNReturnsError(t *testing.T) {
+	_, errMO := RunMO("scan", "hm4", -5)
+	_, errRun := Run(RunConfig{Algo: "scan", Machine: "hm4", N: 0})
+	for _, err := range []error{errMO, errRun} {
+		if err == nil || !strings.Contains(err.Error(), "n = ") {
+			t.Errorf("want an error naming n, got %v", err)
+		}
 	}
 }
 

@@ -103,6 +103,9 @@ func RunMO(algo, machine string, n int, opts ...core.Opt) (MOResult, error) {
 // RunMOOnConfig is RunMO for an explicit machine configuration (used by the
 // speedup sweeps, which vary the core count).
 func RunMOOnConfig(algo string, cfg hm.Config, n int, opts ...core.Opt) (MOResult, error) {
+	if n < 1 {
+		return MOResult{}, fmt.Errorf("input size n = %d, want n >= 1", n)
+	}
 	m, err := hm.NewMachine(cfg)
 	if err != nil {
 		return MOResult{}, err

@@ -28,18 +28,21 @@ type RunConfig struct {
 // optionSets are the named engine-option bundles an experiment can select.
 // The names are part of the determinism contract surface: golden snapshots
 // (golden_test.go), sweep specs and CHANGES-visible CLIs all refer to
-// schedules by these names, so entries are append-only.
+// schedules by these names, so entries are append-only: a name whose
+// backend is removed stays, mapped to the backend that replaces it.  That
+// is why par2/par4 and pr2par2/pr4par4, the names of the removed replay
+// backend (DESIGN.md §8) alone and composed, resolve to parallel rounds.
 var optionSets = map[string]func() []core.Opt{
 	"default": func() []core.Opt { return nil },
 	"steal":   func() []core.Opt { return []core.Opt{core.WithStealing()} },
 	"flat":    func() []core.Opt { return []core.Opt{core.WithFlatScheduler()} },
 	"q8":      func() []core.Opt { return []core.Opt{core.WithQuantum(8)} },
-	"par2":    func() []core.Opt { return []core.Opt{core.WithParallel(2)} },
-	"par4":    func() []core.Opt { return []core.Opt{core.WithParallel(4)} },
+	"par2":    func() []core.Opt { return []core.Opt{core.WithParallelRounds(2)} },
+	"par4":    func() []core.Opt { return []core.Opt{core.WithParallelRounds(4)} },
 	"pr2":     func() []core.Opt { return []core.Opt{core.WithParallelRounds(2)} },
 	"pr4":     func() []core.Opt { return []core.Opt{core.WithParallelRounds(4)} },
-	"pr2par2": func() []core.Opt { return []core.Opt{core.WithParallelRounds(2), core.WithParallel(2)} },
-	"pr4par4": func() []core.Opt { return []core.Opt{core.WithParallelRounds(4), core.WithParallel(4)} },
+	"pr2par2": func() []core.Opt { return []core.Opt{core.WithParallelRounds(2)} },
+	"pr4par4": func() []core.Opt { return []core.Opt{core.WithParallelRounds(4)} },
 	"pr4steal": func() []core.Opt {
 		return []core.Opt{core.WithParallelRounds(4), core.WithStealing()}
 	},

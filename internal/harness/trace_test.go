@@ -139,12 +139,15 @@ func TestTraceCatchesInjectedLeak(t *testing.T) {
 	}
 }
 
+// TestStartTraceRefusesParallelBackend: the parallel-rounds backend records
+// accesses through fan-in, whose issue order is not the serial program
+// order, so StartTrace must refuse a machine in fan-in mode.
 func TestStartTraceRefusesParallelBackend(t *testing.T) {
 	m := hm.MustMachine(hm.Presets()["hm4"])
-	core.NewSim(m, core.WithParallel(2))
+	m.StartRoundFanIn()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("StartTrace on a parallel-replay machine should panic")
+			t.Fatal("StartTrace during fan-in recording should panic")
 		}
 	}()
 	m.StartTrace()

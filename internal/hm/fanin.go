@@ -14,29 +14,22 @@ package hm
 //
 // Strands mark round boundaries in their buffer as they cross them.  After
 // the phase, the engine's serial commit walk replays the recorded chunks in
-// (round, core) order — exactly the serial interleaving — by handing each
-// chunk to FlushFanChunk, which either walks the cache hierarchy in-line or
-// bulk-appends the chunk to the parallel replay pipeline (parsim.go) when
-// WithParallel is composed on top.  Either way every cache consumes its
-// serial input sequence in its serial order, so all counters stay
-// byte-identical to the serial engine.
+// (round, core) order — exactly the serial interleaving — through the
+// serial access walk, so every cache consumes its serial input sequence in
+// its serial order and all counters stay byte-identical to the serial
+// engine.
 
 // fanBuf is one core's recording buffer for the current speculative phase.
 type fanBuf struct {
-	recs   []uint64 // addr<<1 | writeBit, in issue order
-	wrecs  []uint64 // writes only, kept when the replay pipeline shards coherence
-	marks  []int    // end offset in recs of each completed round
-	wmarks []int    // end offset in wrecs of each completed round
-	loaned bool     // arrays handed zero-copy to an epoch dispatch (parsim.go)
+	recs  []uint64 // addr<<1 | writeBit, in issue order
+	marks []int    // end offset in recs of each completed round
 }
 
 // roundFanIn is the fan-in state attached to a Machine while a speculative
 // phase (or its commit walk) is in flight.
 type roundFanIn struct {
-	on          bool // intercept Load/Store (speculative phase only)
-	trackWrites bool // parallel replay with coherence shards wants write side-lists
-	epoched     bool // this phase already loaned its arrays to an epoch dispatch
-	bufs        []fanBuf
+	on   bool // intercept Load/Store (speculative phase only)
+	bufs []fanBuf
 }
 
 // StartRoundFanIn switches the machine into fan-in recording: until
@@ -47,25 +40,11 @@ func (m *Machine) StartRoundFanIn() {
 	if m.fan == nil {
 		m.fan = &roundFanIn{bufs: make([]fanBuf, m.Cores())}
 	}
-	f := m.fan
-	f.trackWrites = m.par != nil && m.par.trackWrites
-	f.epoched = false
-	for c := range f.bufs {
-		b := &f.bufs[c]
-		if b.loaned {
-			// The arrays were handed zero-copy to the replay pipeline by an
-			// epoch dispatch and may still be replaying: swap in arrays the
-			// pipeline has verifiably finished with (reclaimed on the engine
-			// thread from recycled epoch batches), or start empty.
-			b.loaned = false
-			p := m.par
-			b.recs, b.wrecs = p.takeFanU64(), p.takeFanU64()
-			b.marks, b.wmarks = p.takeFanInts(), p.takeFanInts()
-		}
-		b.recs, b.wrecs = b.recs[:0], b.wrecs[:0]
-		b.marks, b.wmarks = b.marks[:0], b.wmarks[:0]
+	for c := range m.fan.bufs {
+		b := &m.fan.bufs[c]
+		b.recs, b.marks = b.recs[:0], b.marks[:0]
 	}
-	f.on = true
+	m.fan.on = true
 }
 
 // EndRoundFanIn stops intercepting Load/Store.  The recorded buffers stay
@@ -81,56 +60,30 @@ func (m *Machine) EndRoundFanIn() {
 func (m *Machine) MarkRound(core int) {
 	b := &m.fan.bufs[core]
 	b.marks = append(b.marks, len(b.recs))
-	if m.fan.trackWrites {
-		b.wmarks = append(b.wmarks, len(b.wrecs))
-	}
 }
 
-// fanChunk returns the record slices of core's chunk for the given 0-based
-// round: recs[marks[r-1]:marks[r]], with the region past the last mark (a
-// partial round, cut short by a scheduler interaction) addressed by
+// fanChunk returns the records of core's chunk for the given 0-based round:
+// recs[marks[r-1]:marks[r]], with the region past the last mark (a partial
+// round, cut short by a scheduler interaction) addressed by
 // round == len(marks).
-func (f *roundFanIn) fanChunk(core, round int) (recs, wrecs []uint64) {
+func (f *roundFanIn) fanChunk(core, round int) []uint64 {
 	b := &f.bufs[core]
-	lo, wlo := 0, 0
+	lo, hi := 0, len(b.recs)
 	if round > 0 {
 		lo = b.marks[round-1]
-		if f.trackWrites {
-			wlo = b.wmarks[round-1]
-		}
 	}
-	hi, whi := len(b.recs), len(b.wrecs)
 	if round < len(b.marks) {
 		hi = b.marks[round]
-		if f.trackWrites {
-			whi = b.wmarks[round]
-		}
 	}
-	if f.trackWrites {
-		return b.recs[lo:hi], b.wrecs[wlo:whi]
-	}
-	return b.recs[lo:hi], nil
+	return b.recs[lo:hi]
 }
 
 // FlushFanChunk applies core's recorded chunk for the given round to the
-// cache model: in-line through the serial access walk, or as a bulk append
-// to the parallel replay pipeline when one is attached.  Chunks must be
-// flushed in (round, core) lexicographic order — the serial interleaving —
-// which is exactly the order the engine's commit walk visits turns in.
+// cache model through the serial access walk.  Chunks must be flushed in
+// (round, core) lexicographic order — the serial interleaving — which is
+// exactly the order the engine's commit walk visits turns in.
 func (m *Machine) FlushFanChunk(core, round int) {
-	recs, wrecs := m.fan.fanChunk(core, round)
-	if len(recs) == 0 {
-		return
-	}
-	if m.par != nil {
-		// The replay pipeline's own fast path counts at record time
-		// (Load/Store do m.Accesses++ before par.record), so bulk appends
-		// count here; the serial walk counts inside m.access itself.
-		m.Accesses += int64(len(recs))
-		m.par.recordBulk(core, recs, wrecs)
-		return
-	}
-	for _, rec := range recs {
+	for _, rec := range m.fan.fanChunk(core, round) {
 		m.access(core, Addr(rec>>1), rec&1 != 0)
 	}
 }
@@ -139,49 +92,23 @@ func (m *Machine) FlushFanChunk(core, round int) {
 // whole round range [lo, hi) — rmax complete rounds bulk-committed by the
 // engine — in (round, core) lexicographic order, the serial interleaving.
 // cores must be in ascending order (the engine's turn order within a
-// round).  With a replay pipeline attached the first bulk range of a phase
-// dispatches as one zero-copy epoch batch (dispatchFanEpoch); later ranges
-// of the same phase fall back to per-chunk bulk appends, because the
-// arrays can only be loaned out once per phase.
+// round).
 func (m *Machine) FlushFanRounds(cores []int, lo, hi int) {
-	f := m.fan
-	if m.par != nil {
-		if !f.epoched {
-			if n := m.par.dispatchFanEpoch(f, cores, lo, hi); n > 0 {
-				f.epoched = true
-				// Mirror the record-time counting of the Load/Store fast
-				// path, like FlushFanChunk does.
-				m.Accesses += n
-			}
-			return
-		}
-		for r := lo; r < hi; r++ {
-			for _, c := range cores {
-				m.FlushFanChunk(c, r)
-			}
-		}
-		return
-	}
 	for r := lo; r < hi; r++ {
 		for _, c := range cores {
-			recs, _ := f.fanChunk(c, r)
-			for _, rec := range recs {
+			for _, rec := range m.fan.fanChunk(c, r) {
 				m.access(c, Addr(rec>>1), rec&1 != 0)
 			}
 		}
 	}
 }
 
-// fanRecord is the fan-in fast path shared by Load and Store: data access
-// plus a record append on the issuing core's buffer.
+// record is the fan-in fast path shared by Load and Store: a record append
+// on the issuing core's buffer.
 func (f *roundFanIn) record(core int, a Addr, write bool) {
-	b := &f.bufs[core]
 	rec := uint64(a) << 1
 	if write {
 		rec |= 1
-		if f.trackWrites {
-			b.wrecs = append(b.wrecs, rec)
-		}
 	}
-	b.recs = append(b.recs, rec)
+	f.bufs[core].recs = append(f.bufs[core].recs, rec)
 }

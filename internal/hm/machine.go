@@ -41,23 +41,15 @@ type Machine struct {
 	// path pointer chase.
 	ownMask [][]uint64
 
-	// par, when non-nil, streams every Load/Store into the parallel replay
-	// pipeline (parsim.go) instead of the in-line access walk.  The holders
-	// machinery above goes unused in that mode: each shard keeps its own
-	// partition of the masks.
-	par *parSim
-
 	// fan, while fan.on, diverts Load/Store into per-core record buffers so
 	// the engine's parallel-rounds backend can run strands of distinct cores
-	// on concurrent OS threads (fanin.go).  Checked before par: recorded
-	// chunks reach par (or the serial walk) later, via FlushFanChunk, in the
-	// serial (round, core) order.
+	// on concurrent OS threads (fanin.go).  Recorded chunks reach the serial
+	// walk later, via FlushFanChunk, in the serial (round, core) order.
 	fan *roundFanIn
 
 	// trace, when non-nil, chains every Load/Store into a rolling digest of
 	// the access stream (tracecap.go) for the data-obliviousness harness.
-	// Orthogonal to the backends above, but only meaningful on the serial
-	// one; StartTrace enforces that.
+	// Only meaningful outside fan-in recording; StartTrace enforces that.
 	trace *traceCap
 
 	// Steps is advanced by the engine (virtual time); kept here so stats
@@ -286,9 +278,6 @@ func (m *Machine) Load(core int, a Addr) uint64 {
 	}
 	if f := m.fan; f != nil && f.on {
 		f.record(core, a, false)
-	} else if m.par != nil {
-		m.Accesses++
-		m.par.record(core, a, false)
 	} else {
 		m.access(core, a, false)
 	}
@@ -305,9 +294,6 @@ func (m *Machine) Store(core int, a Addr, v uint64) {
 	}
 	if f := m.fan; f != nil && f.on {
 		f.record(core, a, true)
-	} else if m.par != nil {
-		m.Accesses++
-		m.par.record(core, a, true)
 	} else {
 		m.access(core, a, true)
 	}
@@ -333,10 +319,8 @@ func (m *Machine) PeekF64(a Addr) float64    { return math.Float64frombits(m.Pee
 func (m *Machine) PokeF64(a Addr, v float64) { m.Poke(a, math.Float64bits(v)) }
 
 // ResetStats zeroes every cache counter and the access/step counters;
-// contents and heap are preserved.  Any in-flight parallel replay is drained
-// first so the zeroing cannot race a counter update.
+// contents and heap are preserved.
 func (m *Machine) ResetStats() {
-	m.SyncReplay()
 	for _, level := range m.ByLevel {
 		for _, c := range level {
 			c.ResetStats()
@@ -358,11 +342,8 @@ func (m *Machine) ResetStats() {
 //
 // Stale holder-mask bits for the faulted cache are left in place
 // deliberately: a later off-path invalidation of a non-resident block is a
-// counted-nowhere no-op (Cache.invalidate checks residency first), and the
-// shard-local masks of the parallel replay pipeline tolerate staleness the
-// same way, so serial and parallel replay stay byte-identical across faults.
+// counted-nowhere no-op (Cache.invalidate checks residency first).
 func (m *Machine) InjectCacheFault(level, index int) int64 {
-	m.SyncReplay()
 	c := m.ByLevel[level-1][index]
 	dropped := c.Resident()
 	c.Flush()
@@ -372,10 +353,6 @@ func (m *Machine) InjectCacheFault(level, index int) int64 {
 
 // FlushCaches empties every cache (cold restart) and resets stats.
 func (m *Machine) FlushCaches() {
-	m.SyncReplay()
-	if m.par != nil {
-		m.par.resetHolders()
-	}
 	for i, level := range m.ByLevel {
 		for _, c := range level {
 			c.Flush()
@@ -408,10 +385,8 @@ type Snapshot struct {
 	Levels   []LevelStats
 }
 
-// Stats returns the current per-level aggregates, draining any in-flight
-// parallel replay first so the snapshot is exact.
+// Stats returns the current per-level aggregates.
 func (m *Machine) Stats() Snapshot {
-	m.SyncReplay()
 	s := Snapshot{Steps: m.Steps, Accesses: m.Accesses}
 	for i, level := range m.ByLevel {
 		ls := LevelStats{Level: i + 1, Caches: len(level)}

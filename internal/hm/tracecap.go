@@ -10,12 +10,10 @@ package hm
 // billion-access run costs two multiplies per access and no memory.
 //
 // Capture records at Load/Store issue time, which is the deterministic
-// serial program order only under the serial backend: the parallel replay
-// pipeline reorders nothing at issue time (it records in program order too),
-// but the parallel-rounds backend issues speculative per-core streams whose
-// interleaving is thread-timing dependent.  StartTrace therefore refuses a
-// machine wired for parallel replay, and the harness keeps trace runs on
-// the default serial engine.
+// serial program order only outside fan-in recording: the parallel-rounds
+// backend issues speculative per-core streams whose interleaving is
+// thread-timing dependent.  StartTrace therefore refuses a machine in fan-in
+// mode, and the harness keeps trace runs on the default serial engine.
 
 const (
 	fnvOffset64 uint64 = 14695981039346656037
@@ -60,11 +58,11 @@ type TraceDigest struct {
 // StartTrace begins capturing the access stream into a fresh digest.  Peek
 // and Poke bypass capture the same way they bypass the cache model: input
 // initialisation and output verification are not part of the measured trace.
-// Panics if the machine is wired for the parallel replay or parallel-rounds
-// backends, whose issue order is not the serial program order.
+// Panics while the machine is in fan-in recording (StartRoundFanIn), whose
+// issue order is not the serial program order.
 func (m *Machine) StartTrace() {
-	if m.par != nil || (m.fan != nil && m.fan.on) {
-		panic("hm: StartTrace on a machine with a parallel backend; trace capture is serial-order only")
+	if m.fan != nil && m.fan.on {
+		panic("hm: StartTrace during fan-in recording; trace capture is serial-order only")
 	}
 	m.trace = &traceCap{hash: fnvOffset64}
 }

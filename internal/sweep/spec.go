@@ -4,10 +4,10 @@
 // hypotheses — machine-checkable predictions over the measured metrics.
 // The runner expands the grid, fans the runs out across worker goroutines
 // (each run is an independent deterministic simulation, so the fan-out is
-// embarrassingly parallel, unlike the intra-run replay axis), and streams
-// rows to JSONL/CSV in grid order regardless of worker count: the engine's
-// determinism contract (same config + seed → byte-identical metrics)
-// extends to the sweep layer byte for byte.
+// embarrassingly parallel, unlike the intra-run parallel-rounds axis), and
+// streams rows to JSONL/CSV in grid order regardless of worker count: the
+// engine's determinism contract (same config + seed → byte-identical
+// metrics) extends to the sweep layer byte for byte.
 //
 // Hypotheses come in three kinds, all grounded in the paper's comparative
 // claims:
