@@ -1,5 +1,5 @@
 # oblivhm — reproduction of "Oblivious Algorithms for Multicores and
-# Network of Processors" (IPDPS 2010).  Stdlib-only; Go >= 1.22.
+# Network of Processors" (IPDPS 2010).  Stdlib-only; Go >= 1.23.
 
 GO ?= go
 
@@ -94,8 +94,8 @@ cover:
 	$(GO) test -cover ./internal/...
 
 # Race-check the engine, the golden-metrics layer and the sweep runner
-# (the packages with real concurrency: strand goroutines, the native
-# executor, and the sweep worker pool incl. the rebased cmd/tables).
+# (the packages with real concurrency: parallel-rounds speculators, the
+# native executor, and the sweep worker pool incl. the rebased cmd/tables).
 race:
 	$(GO) test -race ./internal/core/... ./internal/harness/... ./internal/sweep ./cmd/tables
 

@@ -18,9 +18,10 @@ import (
 //   - iteration over a map (order is randomized per run by the runtime),
 //   - sync.Map (iteration order and interleaving are unspecified),
 //   - go statements outside the sanctioned entry points — the native-mode
-//     executor, the strand coroutine and the parallel-rounds speculator
-//     launch, which carry //oblivcheck:allow annotations citing their
-//     equivalence proofs.
+//     executor and the parallel-rounds speculator launch, which carry
+//     //oblivcheck:allow annotations citing their equivalence proofs.
+//     Strands themselves are runtime coroutines resumed by the engine, not
+//     goroutines it launches.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "engine and algorithm code must stay deterministic: no wall clock, unseeded rand, map order, sync.Map, or unsanctioned goroutines",

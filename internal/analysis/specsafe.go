@@ -31,8 +31,8 @@ import (
 // privilege, and an engine helper reached from an unserialized site is
 // flagged inside its body.  Closures handed to deferFork are exempt: they
 // run on the engine thread during the commit walk by construction.  The
-// strand methods (charge, park, specReport, ...) are the engine⇄strand
-// protocol layer whose safety is the channel handshake itself, not the
+// strand methods (charge, park, suspend, ...) are the engine⇄strand
+// protocol layer whose safety is the coroutine handoff itself, not the
 // serialize rule; calls to them conservatively invalidate serialization.
 //
 // This is the analyzer that would have caught the stale jn.pending read

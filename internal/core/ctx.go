@@ -73,7 +73,7 @@ func (c *Ctx) Tick(n int64) {
 // speculator.
 func (c *Ctx) serialize() {
 	if st := c.st; st != nil && st.spec {
-		st.specReport(yieldMsg{kind: ySerialize})
+		st.suspend(yieldMsg{kind: ySerialize})
 	}
 }
 

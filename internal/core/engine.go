@@ -2,14 +2,16 @@ package core
 
 import (
 	"math/bits"
+	"sync"
 
 	"oblivhm/internal/hm"
 )
 
 // The simulated executor is a cooperative fork-join engine over the virtual
 // cores of an hm.Machine.  Exactly one strand (lightweight task) executes at
-// any real instant — the engine hands a budget of virtual operations to one
-// strand at a time via channels — so the simulation is fully deterministic:
+// any real instant — each strand is a runtime coroutine, and the engine
+// resumes one at a time with a budget of virtual operations until it yields
+// back — so the simulation is fully deterministic:
 // cores proceed in lockstep rounds of `quantum` operations, realising the
 // model's "all cores run at the same rate" assumption.  Virtual parallel
 // time is the number of rounds times the quantum.
@@ -24,16 +26,17 @@ import (
 //     (e.nrun == 0 after it is popped), interleaving cannot be observed, so
 //     the grant carries an effectively unbounded number of whole rounds.
 //     The strand commits round boundaries locally in charge() — bumping the
-//     clock and refilling its quantum without a channel crossing — and the
+//     clock and refilling its quantum without a coroutine switch — and the
 //     batch is truncated at the next boundary as soon as the strand makes
 //     anything else runnable (every such transition funnels through
 //     enqueue(), which sets batchAbort).  This is the adaptive quantum: one
 //     live strand runs in arbitrarily long grants, concurrent strands fall
 //     back to the exact per-round lockstep.
-//   - Pooling: strand objects, their channels, and their goroutines are
-//     recycled within a run.  A pooled goroutine parks on its resume channel
+//   - Pooling: strand objects and their coroutines are recycled within a
+//     run.  A pooled coroutine stays suspended at the end of its last task
 //     between assignments and keeps its grown stack, which matters for the
-//     deeply recursive algorithms.
+//     deeply recursive algorithms.  The run stops every coroutine it
+//     created when it ends, failed or not (drain).
 //   - Active-core scan: the round loop walks a bitmask of cores with
 //     non-empty run queues (the machine model caps p at 64) instead of
 //     scanning every runq slice; with stealing enabled it falls back to the
@@ -64,14 +67,21 @@ type strand struct {
 	anchor  *hm.Cache // cache the strand's task is anchored at
 	fn      func(*Ctx)
 	ctx     *Ctx
-	resume  chan int64
-	yield   chan yieldMsg
 	budget  int64
 	rounds  int64 // whole rounds left in the current batch grant
 	grant   int64 // batch rounds for the next resume, written by the engine
 	started bool  // this assignment has received its first grant
-	spawned bool  // a pooled goroutine is attached to the channels
 	done    bool
+
+	// The strand's coroutine (coro.go).  next runs it until its next yield
+	// and returns the yielded message; stop unwinds it for good (drain).
+	// yieldFn is main's yield, through which the strand suspends, and in
+	// carries the budget of the resume in progress (written by the engine
+	// right before next).
+	next    func() (yieldMsg, bool)
+	stop    func()
+	yieldFn func(yieldMsg) bool
+	in      int64
 
 	label    string     // task label carried into failure reports
 	blockIdx int        // index in the engine's blocked list, -1 if not parked
@@ -82,13 +92,14 @@ type strand struct {
 	// Parallel-rounds speculation state (parround.go).  spec marks a strand
 	// executing concurrently in an epoch's execution phase; specRound counts
 	// the pure rounds it completed before reporting; rep carries the report
-	// (written before the prReport send, read after the receive — the
-	// channel is the happens-before edge); putJn parks a join recycle that
-	// the strand could not hand to the engine while speculating; defFks and
-	// defNext hold the forks the strand caused while speculating, recorded
-	// instead of executed and replayed by the commit walk at their exact
-	// serial rounds (appended by the speculator thread, read by the engine
-	// thread — prReport is again the happens-before edge).
+	// (the message its epoch resume returned, stored by the thread that
+	// resumed it before prWG.Done — the WaitGroup is the happens-before
+	// edge); putJn parks a join recycle that the strand could not hand to
+	// the engine while speculating; defFks and defNext hold the forks the
+	// strand caused while speculating, recorded instead of executed and
+	// replayed by the commit walk at their exact serial rounds (appended by
+	// the speculator thread, read by the engine thread — prWG is again the
+	// happens-before edge).
 	spec      bool
 	specRound int
 	rep       yieldMsg
@@ -240,6 +251,7 @@ type engine struct {
 	batchAbort bool   // an enqueue happened during the outstanding grant
 	reference  bool   // disable the fast paths (seed-equivalent schedule)
 	pool       []*strand
+	strands    []*strand // every strand created this run, stopped by drain
 	freeJoins  []*join
 	failErr    error // first strand failure, as a typed *RunError
 
@@ -252,13 +264,13 @@ type engine struct {
 	// setting (0 = off); the rest is per-epoch: specOf maps a core to its
 	// speculator until the commit walk consumes its report, nspec counts
 	// outstanding speculators, commitRound is the loop round index relative
-	// to the epoch's start, and prReport collects reports from the
-	// concurrently executing strands.
+	// to the epoch's start, and prWG waits for the concurrently executing
+	// speculators to pause.
 	prWorkers   int
 	specOf      []*strand
 	nspec       int
 	commitRound int
-	prReport    chan *strand
+	prWG        sync.WaitGroup
 	specs       []*strand // epoch scratch
 	bulkCores   []int     // bulkCommit scratch
 	prSpecHook  func()    // test-only: runs right after speculate() arms an epoch
@@ -306,7 +318,7 @@ func (e *engine) putJoin(jn *join) {
 }
 
 // newStrand creates (but does not start) a strand pinned to core, reusing a
-// pooled strand (object, channels, goroutine) when one is free.
+// pooled strand (object and coroutine) when one is free.
 func (e *engine) newStrand(core int, anchor *hm.Cache, jn *join, fn func(*Ctx), label string) *strand {
 	// Dead cores never receive new work: any placement that lands on one is
 	// redirected to the least-loaded survivor under the same anchor.  The
@@ -329,20 +341,10 @@ func (e *engine) newStrand(core int, anchor *hm.Cache, jn *join, fn func(*Ctx), 
 		st.inline = st.inline[:0]
 		st.ctx.core, st.ctx.anchor = core, anchor
 	} else {
-		// Cap-1 channels: the protocol is strict ping-pong (at most one
-		// message in flight per channel), and a buffered send lets the
-		// sender proceed straight to its own blocking receive without the
-		// unbuffered direct-handoff machinery.
-		st = &strand{
-			eng:    e,
-			core:   core,
-			anchor: anchor,
-			fn:     fn,
-			resume: make(chan int64, 1),
-			yield:  make(chan yieldMsg, 1),
-			jn:     jn,
-		}
+		st = &strand{eng: e, core: core, anchor: anchor, fn: fn, jn: jn}
 		st.ctx = &Ctx{s: e.s, core: core, anchor: anchor, st: st}
+		st.next, st.stop = pull(st.main)
+		e.strands = append(e.strands, st)
 	}
 	st.label = label
 	st.blockIdx = -1
@@ -450,16 +452,17 @@ func (e *engine) run(space int64, root func(*Ctx)) error {
 	return nil
 }
 
-// drain releases the pooled worker goroutines at the end of a run (they
-// would otherwise outlive the engine parked on their resume channels).
-// Strands still blocked when a run fails leak exactly as in the seed.
+// drain stops the coroutine of every strand the run created.  Pooled
+// strands return from main; strands a failed run left parked, queued or
+// paused mid-epoch unwind their task stacks first (suspend panics with
+// killedStrand).  Nothing outlives the run.
 func (e *engine) drain() {
-	for i, st := range e.pool {
-		if st.spawned {
-			close(st.resume)
-		}
-		e.pool[i] = nil
+	for i, st := range e.strands {
+		st.stop()
+		e.strands[i] = nil
 	}
+	e.strands = e.strands[:0]
+	clear(e.pool)
 	e.pool = e.pool[:0]
 }
 
@@ -658,16 +661,8 @@ func (e *engine) runStrand(st *strand, budget int64) int64 {
 		}
 	}
 	e.batchAbort = false
-	if !st.started {
-		st.started = true
-		if !st.spawned {
-			st.spawned = true
-			//oblivcheck:allow determinism: strand coroutine — lockstep resume/yield handoff, exactly one strand runs at a time, so the schedule is independent of OS interleaving
-			go st.main()
-		}
-	}
-	st.resume <- budget
-	leftover := e.handleYield(st, <-st.yield)
+	st.started = true
+	leftover := e.handleYield(st, st.resume(budget))
 	if f := e.fail; f != nil {
 		used := budget - leftover
 		f.rep.TotalOps += used
@@ -948,16 +943,29 @@ func (e *engine) leastLoadedSlot(lambda *hm.Cache, j int) *cacheSlot {
 	return best
 }
 
-// strand goroutine body: a pooled worker loop.  Each iteration runs one
-// assignment; between assignments the goroutine parks on the resume channel
-// (keeping its grown stack), and exits when the engine closes the channel.
-func (st *strand) main() {
+// resume runs st's coroutine with the given budget until the strand yields,
+// returning what it yielded.  Every engine-side entry into a strand goes
+// through it; only drain's stop bypasses it.
+func (st *strand) resume(budget int64) yieldMsg {
+	st.in = budget
+	msg, ok := st.next()
+	if !ok {
+		panic("core: resumed a stopped strand")
+	}
+	return msg
+}
+
+// main is the strand's coroutine body: a pooled worker loop.  Each iteration
+// runs one assignment and yields yDone; the next resume after the engine
+// recycles the strand starts the following assignment on the same (grown)
+// stack.  A speculator that finishes yields the same yDone to whichever
+// thread resumed it, and the commit walk finishes the strand at its
+// recorded round without resuming it.  A false yield means drain stopped
+// the coroutine: main returns.
+func (st *strand) main(yield func(yieldMsg) bool) {
+	st.yieldFn = yield
 	for {
-		budget, ok := <-st.resume
-		if !ok {
-			return
-		}
-		st.budget = budget
+		st.budget = st.in
 		st.rounds = st.grant
 		var failed any
 		func() {
@@ -968,24 +976,21 @@ func (st *strand) main() {
 			}()
 			st.fn(st.ctx)
 		}()
-		if st.spec {
-			// Finished while speculating: report to the epoch conductor and
-			// park at the top of the loop for the next assignment — the
-			// commit walk finishes the strand (and surfaces the failure) at
-			// its recorded round, without resuming this goroutine.
-			st.rep = yieldMsg{kind: yDone, panicked: failed}
-			st.eng.prReport <- st
-			continue
+		if !yield(yieldMsg{kind: yDone, panicked: failed}) {
+			return
 		}
-		st.yield <- yieldMsg{kind: yDone, panicked: failed}
 	}
 }
 
-// recv blocks for the next grant and adopts its batch extension.  The
-// poison grant (killStrand) unwinds the goroutine instead: the panic
-// surfaces through the pooled worker loop's recover as a yDone.
-func (st *strand) recv() {
-	st.budget = <-st.resume
+// suspend yields msg to the engine, then adopts the next grant and its
+// batch extension.  Two unwind paths panic with killedStrand instead, both
+// recovered by main: the poison grant (killStrand), which surfaces as a
+// yDone, and a stopped coroutine (drain), after which main returns.
+func (st *strand) suspend(msg yieldMsg) {
+	if !st.yieldFn(msg) {
+		panic(killedStrand{})
+	}
+	st.budget = st.in
 	if st.budget == poisonBudget {
 		panic(killedStrand{})
 	}
@@ -1020,8 +1025,7 @@ func (st *strand) chargeSlow() {
 			st.budget = e.quantum
 			continue
 		}
-		st.yield <- yieldMsg{kind: yBudget}
-		st.recv()
+		st.suspend(yieldMsg{kind: yBudget})
 	}
 }
 
@@ -1036,8 +1040,7 @@ func (st *strand) park() {
 	if st.spec {
 		panic("core: strand parked while speculating (missing serialize hook)")
 	}
-	st.yield <- yieldMsg{kind: yBlocked}
-	st.recv()
+	st.suspend(yieldMsg{kind: yBlocked})
 }
 
 // requeue yields the strand to the back of its core's queue, behind strands
@@ -1048,8 +1051,7 @@ func (st *strand) requeue() {
 	if st.spec {
 		panic("core: strand requeued while speculating (missing serialize hook)")
 	}
-	st.yield <- yieldMsg{kind: yRequeue}
-	st.recv()
+	st.suspend(yieldMsg{kind: yRequeue})
 }
 
 // ---- inline leaf spawns ----

@@ -318,21 +318,22 @@ func (e *engine) migrateStrand(st *strand) {
 	e.fail.rep.MigratedStrands++
 }
 
-// poisonBudget is the sentinel grant that tells a parked strand goroutine
-// to unwind: recv panics with killedStrand, the panic is recovered by the
+// poisonBudget is the sentinel grant that tells a suspended strand to
+// unwind: suspend panics with killedStrand, the panic is recovered by the
 // pooled worker loop like any task failure, and killStrand consumes the
 // resulting yDone.  Real budgets are always positive.
 const poisonBudget = int64(math.MinInt64)
 
-// killedStrand is the private panic value of a poisoned strand.
+// killedStrand is the private panic value of a poisoned or stopped strand.
 type killedStrand struct{}
 
 // killStrand kills an in-flight strand of a dead core and re-executes its
-// work: the strand goroutine is unwound via the resume-channel poison (a
-// strict ping-pong turn, so the protocol invariants hold), its engine
-// accounting — including inline-spawn frames open on its stack — is rolled
-// back, and a replacement strand running the same recorded closure is
-// enqueued on a surviving core with the dead strand's join and reservation.
+// work: the strand's task is unwound by resuming its coroutine with the
+// poison budget (an ordinary resume/yield turn, so the protocol invariants
+// hold), the strand returns to the pool, its engine accounting — including
+// inline-spawn frames open on its stack — is rolled back, and a replacement
+// strand running the same recorded closure is enqueued on a surviving core
+// with the dead strand's join and reservation.
 func (e *engine) killStrand(st *strand) {
 	f := e.fail
 	if st.blockIdx >= 0 {
@@ -348,13 +349,12 @@ func (e *engine) killStrand(st *strand) {
 	fn, jn, label, anchor := st.fn, st.jn, st.label, st.anchor
 	reserved, resSpace := st.reserved, st.resSpace
 
-	// Unwind the goroutine.  The strand is parked in recv (inside
-	// chargeSlow, park or requeue); the poison makes recv panic with
-	// killedStrand, which unwinds the task function and surfaces as a yDone
-	// through the pooled worker loop's recover.
+	// Unwind the task.  The strand is suspended (inside chargeSlow, park or
+	// requeue); the poison makes suspend panic with killedStrand, which
+	// unwinds the task function and surfaces as a yDone through the pooled
+	// worker loop's recover.
 	st.grant = 0
-	st.resume <- poisonBudget
-	msg := <-st.yield
+	msg := st.resume(poisonBudget)
 	if msg.kind != yDone {
 		panic(fmt.Sprintf("core: poisoned strand yielded %d, want yDone", msg.kind))
 	}

@@ -152,42 +152,29 @@ func (e *engine) speculate() {
 	if len(specs) < 2 {
 		return
 	}
-	if e.prReport == nil {
-		// At most prWorkers reports are ever outstanding (one per
-		// speculator, and speculators are capped at prWorkers and at the
-		// core count).
-		n := e.prWorkers
-		if n > len(e.runq) {
-			n = len(e.runq)
-		}
-		e.prReport = make(chan *strand, n)
-	}
 	e.m.StartRoundFanIn()
 	for _, st := range specs {
 		st.spec = true
 		st.specRound = 0
 		st.defFks, st.defNext = st.defFks[:0], 0
 		st.grant = prEpochRounds - 1 // plus the initial budget = prEpochRounds rounds
+		st.started = true
 		e.specOf[st.core] = st
-		if !st.started {
-			st.started = true
-			if !st.spawned {
-				st.spawned = true
-				//oblivcheck:allow determinism: speculative strand launch — pure rounds recorded per core, replayed by the serial commit walk in (round, core) order, byte-identical to the serial schedule (see the package comment)
-				go st.main()
-			}
-		}
-		st.resume <- e.quantum
 	}
+	// Every speculator but the first runs on a helper goroutine; the
+	// conductor runs specs[0] on its own thread, then waits for the helpers.
+	// Completion order is OS nondeterminism and is not consulted: reports
+	// live on the strands, keyed by core.  Every speculator terminates its
+	// phase on its own — at its scheduler interaction or at the fixed
+	// window — so no abort signal is needed.
+	e.prWG.Add(len(specs))
+	for _, st := range specs[1:] {
+		//oblivcheck:allow determinism: speculative strand launch — pure rounds recorded per core, replayed by the serial commit walk in (round, core) order, byte-identical to the serial schedule (see the package comment)
+		go e.speculateOn(st)
+	}
+	e.speculateOn(specs[0])
+	e.prWG.Wait()
 	e.nspec = len(specs)
-	// Collect exactly one report per speculator.  Receive order is OS
-	// nondeterminism and is not consulted: reports live on the strands,
-	// keyed by core.  Every speculator terminates its phase on its own —
-	// at its scheduler interaction or at the fixed window — so no abort
-	// signal is needed.
-	for range specs {
-		<-e.prReport
-	}
 	e.m.EndRoundFanIn()
 	// Hand back join recycles the speculators could not perform themselves
 	// (freeJoins is engine state).  Recycle order is unobservable.
@@ -198,6 +185,13 @@ func (e *engine) speculate() {
 		}
 	}
 	e.commitRound = 0
+}
+
+// speculateOn runs one speculator's execution phase: resume it for its epoch
+// and keep the message its pause yielded as the report.
+func (e *engine) speculateOn(st *strand) {
+	st.rep = st.resume(e.quantum)
+	e.prWG.Done()
 }
 
 // commitCore replays core c's turn for the current commit round from its
@@ -249,8 +243,7 @@ func (e *engine) commitCore(c int) bool {
 		st.applyDeferred(e, st.specRound)
 		st.spec = false
 		st.grant = 0
-		st.resume <- st.budget
-		leftover := e.handleYield(st, <-st.yield)
+		leftover := e.handleYield(st, st.resume(st.budget))
 		e.runCoreRest(c, leftover)
 		return true
 	case yDone:
@@ -352,10 +345,10 @@ func (st *strand) applyDeferred(e *engine, round int) {
 
 // specFail aborts the epoch on a front-stability violation — impossible by
 // construction, kept as a typed failure rather than silent corruption.  The
-// unconsumed speculators are removed from their run queues and stay parked
-// (leaked, like blocked strands of any failed run): the conductor is gone,
-// so a serial turn later in this round must not pop one and try to resume
-// it.  The loop surfaces the error at the end of the round.
+// unconsumed speculators are removed from their run queues and stay
+// suspended until drain stops them at the end of the run: a serial turn
+// later in this round must not pop one and try to resume it.  The loop
+// surfaces the error at the end of the round.
 func (e *engine) specFail(got *strand) {
 	if got != nil {
 		e.requeueFront(got)
@@ -405,16 +398,6 @@ func (st *strand) specSlow() {
 		// re-grants a positive budget (it treats the strand as a plain
 		// front strand from its report round on), so the loop exits after
 		// the resume.
-		st.specReport(yieldMsg{kind: yBudget})
+		st.suspend(yieldMsg{kind: yBudget})
 	}
-}
-
-// specReport hands the strand's report to the epoch conductor and pauses
-// until the commit walk resumes it; the strand continues serially from the
-// exact point it paused (st.spec is cleared by the engine before the
-// resume).
-func (st *strand) specReport(msg yieldMsg) {
-	st.rep = msg
-	st.eng.prReport <- st
-	st.recv()
 }

@@ -9,8 +9,9 @@ package hm
 // concurrently runnable strands have disjoint footprints, the fork-join
 // race-freedom the chaos sweeps already pin) and append an access record to
 // a buffer owned by the issuing core.  No two strands share a core within a
-// phase, so the buffers need no locks; the phase boundaries (channel
-// handoffs in the engine) provide the happens-before edges.
+// phase, so the buffers need no locks; the phase boundaries (the
+// speculator launch and the conductor's wait in the engine) provide the
+// happens-before edges.
 //
 // Strands mark round boundaries in their buffer as they cross them.  After
 // the phase, the engine's serial commit walk replays the recorded chunks in
