@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test bench bench-smoke bench-check tables examples vet oblivcheck trace-check lint cover race race-parallel failure-sweep fuzz soak profile profile-rounds sweep sweep-smoke clean
+.PHONY: all test bench bench-smoke bench-check tables examples vet oblivcheck trace-check lint cover race failure-sweep fuzz soak profile sweep sweep-smoke clean
 
 all: vet test
 
@@ -18,8 +18,8 @@ vet:
 	$(GO) vet ./...
 
 # Build the repo's vettool and run the oblivcheck suite (obliviousness,
-# determinism, hint hygiene, data-obliviousness, speculation safety) over
-# every package.  See DESIGN.md §9.
+# determinism, hint hygiene, data-obliviousness) over every package.  See
+# DESIGN.md §9.
 oblivcheck:
 	$(GO) build -o bin/oblivcheck ./cmd/oblivcheck
 	$(GO) vet -vettool=$(CURDIR)/bin/oblivcheck ./...
@@ -43,19 +43,16 @@ lint: vet oblivcheck
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One-iteration pass over the E-series benches, serial then under the
-# parallel-rounds backend: a cheap crash/divergence gate
-# (OBLIVHM_PARALLEL_ROUNDS makes benchMO verify the parallel metrics against
-# an untimed serial reference), not a timing run.
+# One-iteration pass over the E-series and round-loop benches: a cheap
+# crash gate, not a timing run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'E[0-9]' -benchtime 1x .
-	OBLIVHM_PARALLEL_ROUNDS=4 $(GO) test -run '^$$' -bench 'E[0-9]' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'RoundLoop' -benchtime 1x .
 
 # The benchmark module (bench/, its own go.mod) builds against the simulator
 # one directory up; its tests prove it still builds and runs against the
-# current API, including the deprecated core.WithParallel forward and the
-# par2/pr2par2 option-set names it still uses.
+# current API, including the deprecated no-op core.WithParallel and
+# core.WithParallelRounds options it still uses.
 bench-check:
 	cd bench && $(GO) test ./...
 
@@ -94,17 +91,10 @@ cover:
 	$(GO) test -cover ./internal/...
 
 # Race-check the engine, the golden-metrics layer and the sweep runner
-# (the packages with real concurrency: parallel-rounds speculators, the
-# native executor, and the sweep worker pool incl. the rebased cmd/tables).
+# (the packages with real concurrency: the native executor and the sweep
+# worker pool incl. the rebased cmd/tables).
 race:
 	$(GO) test -race ./internal/core/... ./internal/harness/... ./internal/sweep ./cmd/tables
-
-# Race-check the parallel-rounds backend end to end (DESIGN.md §11):
-# concurrent fan-in recording in the machine, engine-level schedule
-# equivalence against the serial and reference engines, and the harness
-# golden matrix + chaos sweep, all with real speculator threads underneath.
-race-parallel:
-	$(GO) test -race -run 'ParallelRounds|ParallelFanEpoch' ./internal/hm ./internal/core ./internal/harness
 
 # Failure-injection gate: the seeded kill/straggler/cache-fault suite and
 # the 16-seed failure sweep over the golden matrix under the race detector,
@@ -134,29 +124,11 @@ fuzz:
 
 # Flame-graph starting point for perf work: profile a representative
 # simulated run.  Override PROFILE_ARGS for other workloads, e.g.
-# PROFILE_ARGS="-algo mm -machine mc3 -n 16384 -parallel-rounds 4 -repeat 5".
+# PROFILE_ARGS="-algo mm -machine mc3 -n 16384 -repeat 5".
 PROFILE_ARGS ?= -algo sort -machine hm4 -n 8192 -repeat 10
 profile:
 	$(GO) run ./cmd/hmsim $(PROFILE_ARGS) -cpuprofile cpu.out -memprofile mem.out
 	@echo "inspect with: $(GO) tool pprof -top cpu.out   (or -http=:8080)"
-
-# Re-measure the scheduler residue (DESIGN.md §11, BENCH_PR*.json): serial
-# cpuprofiles of the five workloads the bench records track, then the
-# cumulative share of core.(*engine).loop from each — the fraction of the
-# run that stays serial under the parallel-rounds backend.
-profile-rounds:
-	@mkdir -p bin
-	$(GO) build -o bin/hmsim ./cmd/hmsim
-	bin/hmsim -algo scan -machine hm4 -n 16384 -repeat 20 -cpuprofile bin/rounds_scan.out
-	bin/hmsim -algo mm   -machine mc3 -n 4096  -repeat 20 -cpuprofile bin/rounds_mm.out
-	bin/hmsim -algo fft  -machine hm4 -n 4096  -repeat 20 -cpuprofile bin/rounds_fft.out
-	bin/hmsim -algo sort -machine hm4 -n 8192  -repeat 20 -cpuprofile bin/rounds_sort.out
-	bin/hmsim -algo lr   -machine mc3 -n 1024  -repeat 20 -cpuprofile bin/rounds_lr.out
-	@for f in scan mm fft sort lr; do \
-		echo "== $$f: cum%% of core.(*engine).loop =="; \
-		$(GO) tool pprof -top -nodefraction=0 bin/hmsim bin/rounds_$$f.out 2>/dev/null \
-			| grep -E '\(\*engine\)\.loop$$' || echo "  (not sampled)"; \
-	done
 
 clean:
 	rm -f test_output.txt bench_output.txt cpu.out mem.out

@@ -8,10 +8,6 @@ package oblivhm_test
 
 import (
 	"math/rand"
-	"os"
-	"reflect"
-	"runtime"
-	"strconv"
 	"testing"
 
 	"oblivhm/internal/core"
@@ -22,54 +18,10 @@ import (
 	"oblivhm/internal/spms"
 )
 
-// parallelRoundsEnvWorkers reads OBLIVHM_PARALLEL_ROUNDS: when it is set to
-// a positive worker count, every simulated MO bench runs under
-// core.WithParallelRounds and is checked against an untimed serial
-// reference run — the CI bench-smoke job uses this to fail on metric
-// divergence (never on wall-clock).
-func parallelRoundsEnvWorkers(b *testing.B) int {
-	const name = "OBLIVHM_PARALLEL_ROUNDS"
-	v := os.Getenv(name)
-	if v == "" {
-		return 0
-	}
-	w, err := strconv.Atoi(v)
-	if err != nil || w <= 0 {
-		b.Fatalf("%s=%q: want a positive worker count", name, v)
-	}
-	return w
-}
-
-// moMetricsEqual compares the metric tuple the determinism contract pins.
-func moMetricsEqual(a, b harness.MOResult) bool {
-	if a.Steps != b.Steps || a.Steals != b.Steals || !reflect.DeepEqual(a.PlacedAt, b.PlacedAt) {
-		return false
-	}
-	if len(a.Levels) != len(b.Levels) {
-		return false
-	}
-	for i := range a.Levels {
-		if a.Levels[i].MaxMisses != b.Levels[i].MaxMisses {
-			return false
-		}
-	}
-	return true
-}
-
 // benchMO runs a simulated MO workload once per iteration and reports the
 // model metrics of the final run.
 func benchMO(b *testing.B, algo, machine string, n int, opts ...core.Opt) {
 	b.Helper()
-	var serial *harness.MOResult
-	if wr := parallelRoundsEnvWorkers(b); wr > 0 {
-		ref, err := harness.RunMO(algo, machine, n, opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		serial = &ref
-		opts = append(append([]core.Opt{}, opts...), core.WithParallelRounds(wr))
-		b.ResetTimer() // the serial reference run is not part of the measurement
-	}
 	var res harness.MOResult
 	var err error
 	for i := 0; i < b.N; i++ {
@@ -77,10 +29,6 @@ func benchMO(b *testing.B, algo, machine string, n int, opts ...core.Opt) {
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	if serial != nil && !moMetricsEqual(*serial, res) {
-		b.Fatalf("parallel metrics diverged from serial:\n  serial   %+v steals=%d placed=%v\n  parallel %+v steals=%d placed=%v",
-			serial.Steps, serial.Steals, serial.PlacedAt, res.Steps, res.Steals, res.PlacedAt)
 	}
 	b.ReportMetric(float64(res.Steps), "vsteps")
 	for _, l := range res.Levels {
@@ -163,16 +111,15 @@ func BenchmarkE13MatMulFlat(b *testing.B) {
 func BenchmarkE15NGEPB2(b *testing.B) { benchNO(b, "ngep", 1<<10, 16, 2) }
 func BenchmarkE15NGEPB8(b *testing.B) { benchNO(b, "ngep", 1<<10, 16, 8) }
 
-// ---- scheduler round-loop microbenchmarks (DESIGN.md §11) ----
+// ---- scheduler round-loop microbenchmarks ----
 
 // benchRoundLoop runs a Tick-only fork-join workload on hm4: strands
-// consume virtual time without touching memory, so the cache hierarchy and
-// the fan-in buffers stay idle and the measurement isolates the scheduler
-// round loop itself — resume/yield handoffs, budget accounting, queue
-// churn, and (under WithParallelRounds) the speculation/commit machinery.
-// The E-benches above are dominated by the cache walk; these give
-// round-loop work a direct signal.
-func benchRoundLoop(b *testing.B, tasks, ticks int, opts ...core.Opt) {
+// consume virtual time without touching memory, so the cache hierarchy
+// stays idle and the measurement isolates the scheduler round loop itself
+// — resume/yield handoffs, budget accounting and queue churn.  The
+// E-benches above are dominated by the cache walk; these give round-loop
+// work a direct signal.
+func benchRoundLoop(b *testing.B, tasks, ticks int) {
 	b.Helper()
 	cfg, err := harness.Machine("hm4")
 	if err != nil {
@@ -185,39 +132,15 @@ func benchRoundLoop(b *testing.B, tasks, ticks int, opts ...core.Opt) {
 			}
 		})
 	}
-	run := func(extra ...core.Opt) int64 {
+	var steps int64
+	for i := 0; i < b.N; i++ {
 		m, err := hm.NewMachine(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return core.NewSim(m, extra...).Run(1<<16, root).Steps
-	}
-	refSteps := int64(-1)
-	if len(opts) > 0 {
-		// Untimed serial reference: like benchMO's env-driven check, any
-		// non-default backend must land on the identical virtual schedule.
-		refSteps = run()
-		b.ResetTimer()
-	}
-	var steps int64
-	for i := 0; i < b.N; i++ {
-		steps = run(opts...)
-	}
-	if refSteps >= 0 && steps != refSteps {
-		b.Fatalf("vsteps diverged from serial: serial %d, got %d", refSteps, steps)
+		steps = core.NewSim(m).Run(1<<16, root).Steps
 	}
 	b.ReportMetric(float64(steps), "vsteps")
-}
-
-// prBenchWorkers sizes WithParallelRounds for the RoundLoop benches: all
-// host CPUs, floored at the backend's >= 2 eligibility threshold so the
-// speculation/commit machinery is actually measured (time-shared) even on a
-// single-CPU host instead of silently benching the disabled path.
-func prBenchWorkers() int {
-	if w := runtime.GOMAXPROCS(0); w > 2 {
-		return w
-	}
-	return 2
 }
 
 // BenchmarkRoundLoopSerial: long-running strands, rare scheduler events —
@@ -228,50 +151,28 @@ func BenchmarkRoundLoopSerial(b *testing.B) { benchRoundLoop(b, 64, 2048) }
 // and joins dominate over in-round execution.
 func BenchmarkRoundLoopForkHeavy(b *testing.B) { benchRoundLoop(b, 1024, 16) }
 
-// BenchmarkRoundLoopParallelRounds: the tick workload under the phase-split
-// backend — epochs of pure rounds run on worker threads, so the delta vs
-// Serial is the speculation win (or, on one CPU, its overhead).
-func BenchmarkRoundLoopParallelRounds(b *testing.B) {
-	benchRoundLoop(b, 64, 2048, core.WithParallelRounds(prBenchWorkers()))
-}
-
-// BenchmarkRoundLoopForkHeavyParallelRounds: many tiny tasks under the
-// backend.  Deferred admissions keep speculators alive through their own
-// forks, so epochs stay multi-round instead of degenerating to serial the
-// moment a strand spawns.
-func BenchmarkRoundLoopForkHeavyParallelRounds(b *testing.B) {
-	benchRoundLoop(b, 1024, 16, core.WithParallelRounds(prBenchWorkers()))
-}
-
 // BenchmarkRoundLoopCommitHeavy: few strands, very long pure stretches —
-// thousands of rounds between scheduler events, so the per-round commit
-// walk (pop, flush, requeue, clock bump) is the dominant serial cost this
-// PR's bulk commit collapses into one queue transition per epoch.
+// thousands of rounds between scheduler events, so the per-round lockstep
+// (pop, resume, requeue, clock bump) is the dominant cost.
 func BenchmarkRoundLoopCommitHeavy(b *testing.B) { benchRoundLoop(b, 16, 8192) }
 
-func BenchmarkRoundLoopCommitHeavyParallelRounds(b *testing.B) {
-	benchRoundLoop(b, 16, 8192, core.WithParallelRounds(prBenchWorkers()))
-}
-
-// benchRoundMem is benchRoundLoop with real memory traffic: PFor strands
-// stream over disjoint slices of one array, so under WithParallelRounds
-// every pure round records into the fan-in buffers and the commit path
-// carries the full access stream — the fan-in record and flush is what's
-// being measured, not the tick loop.
-func benchRoundMem(b *testing.B, opts ...core.Opt) {
-	b.Helper()
+// BenchmarkRoundLoopMemSerial is the round loop with real memory traffic:
+// PFor strands stream over disjoint slices of one array, so every round
+// also walks the cache hierarchy.
+func BenchmarkRoundLoopMemSerial(b *testing.B) {
 	cfg, err := harness.Machine("hm4")
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(extra ...core.Opt) (int64, hm.Snapshot) {
+	var steps int64
+	for i := 0; i < b.N; i++ {
 		m, err := hm.NewMachine(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		s := core.NewSim(m, extra...)
+		s := core.NewSim(m)
 		v := s.NewI64(1 << 12)
-		st := s.Run(1<<15, func(c *core.Ctx) {
+		steps = s.Run(1<<15, func(c *core.Ctx) {
 			for rep := 0; rep < 4; rep++ {
 				c.PFor(1<<12, 1, func(cc *core.Ctx, lo, hi int) {
 					for i := lo; i < hi; i++ {
@@ -280,29 +181,9 @@ func benchRoundMem(b *testing.B, opts ...core.Opt) {
 					}
 				})
 			}
-		})
-		return st.Steps, m.Stats()
-	}
-	refSteps, refSnap := run()
-	b.ResetTimer()
-	var steps int64
-	var snap hm.Snapshot
-	for i := 0; i < b.N; i++ {
-		steps, snap = run(opts...)
-	}
-	if steps != refSteps || !reflect.DeepEqual(snap, refSnap) {
-		b.Fatalf("metrics diverged from serial:\n  serial %d %+v\n  got    %d %+v", refSteps, refSnap, steps, snap)
+		}).Steps
 	}
 	b.ReportMetric(float64(steps), "vsteps")
-}
-
-// BenchmarkRoundLoopMemSerial / BenchmarkRoundLoopMemParallelRounds: the
-// memory-streaming workload serial vs parallel rounds, where bulk commits
-// flush whole epochs of recorded chunks through the serial cache walk.
-func BenchmarkRoundLoopMemSerial(b *testing.B) { benchRoundMem(b) }
-
-func BenchmarkRoundLoopMemParallelRounds(b *testing.B) {
-	benchRoundMem(b, core.WithParallelRounds(prBenchWorkers()))
 }
 
 // ---- native (real goroutine) throughput of the same algorithm code ----

@@ -6,7 +6,6 @@
 //
 //	hmsim -algo fft -n 4096 -machine hm4
 //	hmsim -algo gep -n 4096 -machine mc3 -flat   (E13 scheduler ablation)
-//	hmsim -algo sort -n 4096 -parallel-rounds 4  (parallel round execution)
 //	hmsim -algo mm -n 4096 -repeat 10 -cpuprofile cpu.out -memprofile mem.out
 package main
 
@@ -31,7 +30,6 @@ func main() {
 	steal := flag.Bool("steal", false, "extension: idle cores steal unstarted strands")
 	trace := flag.Bool("trace", false, "print a scheduler trace summary and core timeline")
 	quantum := flag.Int64("quantum", 32, "virtual-time quantum (ops per core per round)")
-	parRounds := flag.Int("parallel-rounds", 0, "parallel round-execution workers (0 = serial, -1 = GOMAXPROCS); metrics are byte-identical either way")
 	repeat := flag.Int("repeat", 1, "run the workload this many times (profiling/timing)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
@@ -50,13 +48,6 @@ func main() {
 	}
 	if *steal {
 		opts = append(opts, core.WithStealing())
-	}
-	if *parRounds != 0 {
-		w := *parRounds
-		if w < 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		opts = append(opts, core.WithParallelRounds(w))
 	}
 	tr := &core.Trace{}
 	if *trace {

@@ -1,9 +1,8 @@
-// Command oblivcheck is the repository's vettool: it runs the five
+// Command oblivcheck is the repository's vettool: it runs the four
 // static analyzers of internal/analysis (oblivious, determinism,
-// hinthygiene, dataoblivious, specsafe) over every package, enforcing the
-// paper's obliviousness boundary, the engine's determinism contract, the
-// data-obliviousness of annotated kernels and the speculation-safety rule
-// of DESIGN.md §11 at vet time.
+// hinthygiene, dataoblivious) over every package, enforcing the paper's
+// obliviousness boundary, the engine's determinism contract, the join
+// discipline and the data-obliviousness of annotated kernels at vet time.
 //
 // It speaks cmd/go's vettool protocol directly — the same JSON unit-config
 // exchange golang.org/x/tools' unitchecker implements — using only the

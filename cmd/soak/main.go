@@ -71,6 +71,8 @@ var noBadShapes = []struct {
 	{"fft", 1000, 7, 4},
 	{"sort", 1000, 8, 4},
 	{"prefix", 1000, 8, 4},
+	{"mt", 1024, 8, 0},
+	{"ngep", 3, 8, 4},
 }
 
 type metrics struct {
@@ -114,13 +116,6 @@ func main() {
 		{"steal", []core.Opt{core.WithStealing()}},
 		{"flat", []core.Opt{core.WithFlatScheduler()}},
 		{"q8", []core.Opt{core.WithQuantum(8)}},
-		// Parallel round execution (DESIGN.md §11): the speculation phase
-		// runs per-core strands concurrently, so chaos runs landing on these
-		// sets pin the documented chaos fallback (chaos serializes the loop)
-		// and the determinism probes pin metric equality.
-		{"pr2", []core.Opt{core.WithParallelRounds(2)}},
-		{"pr4", []core.Opt{core.WithParallelRounds(4)}},
-		{"pr4+steal", []core.Opt{core.WithParallelRounds(4), core.WithStealing()}},
 	}
 
 	var iters, chaosRuns, detProbes, noRuns, noBad, failRuns int

@@ -1,22 +1,18 @@
 // Package analysis is a small, stdlib-only static-analysis framework plus
-// the five oblivcheck analyzers that enforce this repository's paper
+// the four oblivcheck analyzers that enforce this repository's paper
 // invariants at compile time:
 //
 //   - oblivious: algorithm packages never see machine parameters
 //     (no internal/hm import, no Session.Machine(), no World.P / World.B),
 //   - determinism: engine/algorithm code draws no wall-clock time, no
 //     unseeded randomness, no map-iteration order, no sync.Map, and spawns
-//     no goroutines outside the sanctioned native-executor and speculator
-//     launch sites,
+//     no goroutines outside the sanctioned native-executor sites,
 //   - hinthygiene: every forked Task carries a non-constant space bound and
 //     every engine-side join is waited on all control paths,
 //   - dataoblivious: packages opting in with //oblivcheck:dataoblivious
 //     make no secret-dependent branches, indices, slice bounds, addresses,
 //     PFor trip counts or Space hints (//oblivcheck:secret tags name the secret
-//     parameters; the trace-equality harness is the runtime cross-check),
-//   - specsafe: scheduler-state reads reachable from speculative strand
-//     context inside internal/core are dominated by c.serialize() or
-//     guarded by st.spec (DESIGN.md §11).
+//     parameters; the trace-equality harness is the runtime cross-check).
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic) so the suite can migrate to the real framework if the
@@ -100,7 +96,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers is the full oblivcheck suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Oblivious, Determinism, HintHygiene, DataOblivious, SpecSafe}
+	return []*Analyzer{Oblivious, Determinism, HintHygiene, DataOblivious}
 }
 
 // Run applies every analyzer in suite to one type-checked package and

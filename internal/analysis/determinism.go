@@ -7,8 +7,8 @@ import (
 
 // Determinism enforces the engine's frozen determinism contract on every
 // non-test package under oblivhm/internal/: the golden-metrics snapshots,
-// the chaos same-seed reproducibility tests, and the parallel-rounds
-// equivalence proofs all assume that a run is a pure function of (machine,
+// the chaos same-seed reproducibility tests and the reference-engine
+// equivalence tests all assume that a run is a pure function of (machine,
 // workload, seed). The analyzer rejects the constructs that break that:
 //
 //   - wall-clock reads (time.Now, Since, Sleep, timers, tickers),
@@ -18,10 +18,9 @@ import (
 //   - iteration over a map (order is randomized per run by the runtime),
 //   - sync.Map (iteration order and interleaving are unspecified),
 //   - go statements outside the sanctioned entry points — the native-mode
-//     executor and the parallel-rounds speculator launch, which carry
-//     //oblivcheck:allow annotations citing their equivalence proofs.
-//     Strands themselves are runtime coroutines resumed by the engine, not
-//     goroutines it launches.
+//     executor, whose two sites carry //oblivcheck:allow annotations.
+//     Strands are runtime coroutines resumed by the engine, not goroutines
+//     it launches.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "engine and algorithm code must stay deterministic: no wall clock, unseeded rand, map order, sync.Map, or unsanctioned goroutines",

@@ -1,10 +1,8 @@
 // Package parfix pins the determinism analyzer's goroutine rule inside the
-// engine scope: the real internal/core carries one sanctioned `go` site in
-// the engine (the speculative launch in speculate(), which resumes
-// speculator coroutines on helper goroutines), annotated with the
-// commit-order equivalence argument — and this fixture proves that a NEW,
-// unsanctioned `go` statement in internal/core still fails the check, so
-// the annotation is a per-site escape hatch, not a package-wide waiver.
+// engine scope: the real internal/core runs strands as coroutines and
+// launches goroutines only from the annotated native executor, and this
+// fixture proves that a `go` statement in internal/core without such an
+// annotation fails the check.
 package parfix
 
 // strand is a stub of the engine's schedulable unit: a coroutine the engine
@@ -14,16 +12,6 @@ type strand struct {
 }
 
 func (st *strand) resume() { st.next() }
-
-// SpeculativeLaunch mirrors the sanctioned site in parround.go: the
-// annotation cites the argument that makes the concurrency unobservable.
-func SpeculativeLaunch(fronts []*strand) {
-	for _, st := range fronts[1:] {
-		//oblivcheck:allow determinism: speculative strand launch — pure rounds are replayed by the serial commit walk in (round, core) order, byte-identical to the serial schedule
-		go st.resume()
-	}
-	fronts[0].resume()
-}
 
 // UnsanctionedLaunch is the regression the rule exists for: engine code
 // spawning a goroutine without an equivalence argument.

@@ -134,21 +134,11 @@ func (m Mat) Row(i int) F64 { return F64{Base: m.addr(i, 0), N: m.Cols} }
 
 // ---- allocation from inside a running task ----
 
-// AllocWords reserves n words of shared memory from inside a task.  The
-// allocator is engine/machine state, so a speculatively executing strand
-// (parround.go) serializes first — mid-run allocation is the reason
-// algorithms should allocate through the Ctx rather than through
-// c.Session() once a run has started.
-func (c *Ctx) AllocWords(n int64) Addr {
-	if c.st != nil {
-		c.serialize()
-	}
-	return c.s.AllocWords(n)
-}
+// AllocWords reserves n words of shared memory from inside a task.
+func (c *Ctx) AllocWords(n int64) Addr { return c.s.AllocWords(n) }
 
 // NewF64 / NewI64 / NewU64 / NewC128 / NewPairs / NewMat are the Ctx
-// counterparts of the Session allocators, safe to call mid-run under every
-// engine backend.
+// counterparts of the Session allocators, for allocation mid-run.
 func (c *Ctx) NewF64(n int) F64     { return F64{Base: c.AllocWords(int64(n)), N: n} }
 func (c *Ctx) NewI64(n int) I64     { return I64{Base: c.AllocWords(int64(n)), N: n} }
 func (c *Ctx) NewU64(n int) U64     { return U64{Base: c.AllocWords(int64(n)), N: n} }

@@ -38,7 +38,7 @@ func TestRunsStopEveryStrand(t *testing.T) {
 				t.Fatal(out.Err)
 			}
 		}},
-		{"parallel-rounds", func(t *testing.T) {
+		{"parallel-rounds", func(t *testing.T) { // the deprecated no-op option
 			if out := runFailure(t, hm.MC3(8), 2048, WithParallelRounds(2)); out.Err != "" {
 				t.Fatal(out.Err)
 			}
@@ -58,8 +58,7 @@ func TestRunsStopEveryStrand(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				tc.run(t)
 			}
-			// Speculator helper goroutines exit right after posting their
-			// report, so give them a moment to be gone.
+			// Give a goroutine that is still exiting a moment to be gone.
 			n := runtime.NumGoroutine()
 			for i := 0; i < 200 && n > base; i++ {
 				time.Sleep(5 * time.Millisecond)

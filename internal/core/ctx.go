@@ -55,41 +55,6 @@ func (c *Ctx) Tick(n int64) {
 	}
 }
 
-// serialize pauses a speculatively executing strand (parround.go) until the
-// engine's commit walk reaches its core's current round: everything past
-// this point may read or mutate scheduler state, which only the serial
-// phases may touch.  No-op on a strand that is not speculating and in
-// native mode, so the machinery calls it unconditionally.
-//
-// Two kinds of scheduler interaction remain serialize points: reads whose
-// result changes the strand's own execution (waitJoin's pending check, the
-// inline-spawn decision and epilogues, allocation), and anything under
-// chaos/verify/reference/failures (those runs never speculate at all).
-// Plain fork placements are NOT serialize points anymore: a speculating
-// strand records them into its deferral buffer (deferFork) for the commit
-// walk to replay at the exact serial round, and keeps running — but every
-// fork loop still re-checks spec after each charge, because a charge can
-// suspend the strand mid-loop and a later round boundary can resume it as a
-// speculator.
-func (c *Ctx) serialize() {
-	if st := c.st; st != nil && st.spec {
-		st.suspend(yieldMsg{kind: ySerialize})
-	}
-}
-
-// newJoin allocates the join for a fork site.  The engine free list is
-// engine state — two speculators (or a speculator and the engine thread)
-// must never touch it at the same real instant — so a speculating strand
-// gets a fresh local join instead.  Join identity is unobservable: the local
-// join behaves identically and enters the free list when waitJoin recycles
-// it on the engine thread.
-func (c *Ctx) newJoin() *join {
-	if st := c.st; st != nil && st.spec {
-		return &join{}
-	}
-	return c.s.eng.newJoin()
-}
-
 // ---- CGC: coarse-grained contiguous scheduling ----
 
 // PFor is a parallel for loop over [0, n) scheduled with the CGC hint: the
@@ -132,7 +97,7 @@ func (c *Ctx) PFor(n, elemWords int, body func(cc *Ctx, lo, hi int)) {
 	// on B_1 block boundaries (arrays are B_1-aligned).
 	cs := (n + nchunks - 1) / nchunks
 	cs = (cs + grain - 1) / grain * grain
-	jn := c.newJoin()
+	jn := e.newJoin()
 	myChunk := -1
 	for j := 0; j*cs < n; j++ {
 		clo, chi := j*cs, (j+1)*cs
@@ -147,18 +112,7 @@ func (c *Ctx) PFor(n, elemWords int, body func(cc *Ctx, lo, hi int)) {
 		c.st.charge(1)
 		clo2, chi2 := clo, chi
 		fn := func(cc *Ctx) { body(cc, clo2, chi2) }
-		words := int64(chi2-clo2) * int64(elemWords)
-		// The charge can suspend the strand mid-loop, and a later round
-		// boundary can resume it as a speculator — so re-check spec after
-		// every charge.  A speculating strand records the fork for the
-		// commit walk to replay at this exact round (admission-surviving
-		// speculation, parround.go) and keeps running its pure stretch.
-		if st := c.st; st.spec {
-			rec := st.recov
-			st.deferFork(func(e *engine) { e.forkChunk(target, jn, fn, words, rec) })
-			continue
-		}
-		e.forkChunk(target, jn, fn, words, c.st.recov)
+		e.forkChunk(target, jn, fn, int64(chi2-clo2)*int64(elemWords), c.st.recov)
 	}
 	if myChunk >= 0 {
 		clo, chi := myChunk*cs, (myChunk+1)*cs
@@ -243,25 +197,12 @@ func (c *Ctx) SpawnSB(tasks ...Task) {
 	}
 	// A single forked task that the scheduler would start right here runs
 	// inline on the parent strand (same schedule, no strand round-trip).
-	// inlineSB reads and mutates scheduler state, so serialize first — the
-	// inline decision changes the parent's own execution and cannot be
-	// deferred.
-	if len(tasks) == 1 {
-		c.serialize()
-		if c.inlineSB(tasks[0]) {
-			return
-		}
+	if len(tasks) == 1 && c.inlineSB(tasks[0]) {
+		return
 	}
-	jn := c.newJoin()
+	jn := e.newJoin()
 	for _, t := range tasks {
 		c.st.charge(1)
-		// Re-check spec after the charge (see PFor): a speculating strand
-		// defers the placement to the commit walk and keeps going.
-		if st := c.st; st.spec {
-			rec := st.recov
-			st.deferFork(func(e *engine) { e.forkSB(lam, jn, t, rec) })
-			continue
-		}
 		e.forkSB(lam, jn, t, c.st.recov)
 	}
 	c.waitJoin(jn)
@@ -296,9 +237,6 @@ func (c *Ctx) SpawnCGCSB(space int64, m int, task func(cc *Ctx, idx int)) {
 		}
 		return
 	}
-	// The level computation below reads only immutable machine structure, so
-	// a speculating strand may run it; the state-dependent placement of each
-	// child is what defers (see PFor).
 	t := 1
 	i := 1
 	if !e.flat {
@@ -321,7 +259,7 @@ func (c *Ctx) SpawnCGCSB(space int64, m int, task func(cc *Ctx, idx int)) {
 			t = lam.Level
 		}
 	}
-	jn := c.newJoin()
+	jn := e.newJoin()
 	if !e.flat && t > i && m < len(e.m.Under(lam, i)) && i < lam.Level {
 		// Small fan-out (fewer subtasks than level-i caches): the paper's
 		// even-contiguous distribution at level t would pin recursive binary
@@ -334,15 +272,6 @@ func (c *Ctx) SpawnCGCSB(space int64, m int, task func(cc *Ctx, idx int)) {
 			c.st.charge(1)
 			id := idx
 			fn := func(cc *Ctx) { task(cc, id) }
-			if st := c.st; st.spec {
-				rec := st.recov
-				// The least-loaded slot scan is state-dependent: it runs
-				// inside the closure, at replay time.
-				st.deferFork(func(e *engine) {
-					e.forkAt(e.leastLoadedSlot(lam, i), pending{space: space, jn: jn, fn: fn, label: "cgc-sb", recov: rec})
-				})
-				continue
-			}
 			e.forkAt(e.leastLoadedSlot(lam, i), pending{space: space, jn: jn, fn: fn, label: "cgc-sb", recov: c.st.recov})
 		}
 		c.waitJoin(jn)
@@ -355,14 +284,7 @@ func (c *Ctx) SpawnCGCSB(space int64, m int, task func(cc *Ctx, idx int)) {
 			c.st.charge(1)
 			id := idx
 			fn := func(cc *Ctx) { task(cc, id) }
-			// The round-robin core is a pure function of lam and idx, so it
-			// may be computed while speculating.
 			core := lam.CoreLo + idx%(lam.CoreHi-lam.CoreLo)
-			if st := c.st; st.spec {
-				rec := st.recov
-				st.deferFork(func(e *engine) { e.forkNested(lam, core, jn, fn, space, "cgc-sb", rec) })
-				continue
-			}
 			e.forkNested(lam, core, jn, fn, space, "cgc-sb", c.st.recov)
 		}
 		c.waitJoin(jn)
@@ -374,17 +296,7 @@ func (c *Ctx) SpawnCGCSB(space int64, m int, task func(cc *Ctx, idx int)) {
 		c.st.charge(1)
 		id := idx
 		fn := func(cc *Ctx) { task(cc, id) }
-		// The even-contiguous target cache is immutable machine structure;
-		// only the admission decision inside forkAt is engine state.
-		slot := e.slotOf(targets[idx*d/m])
-		if st := c.st; st.spec {
-			rec := st.recov
-			st.deferFork(func(e *engine) {
-				e.forkAt(slot, pending{space: space, jn: jn, fn: fn, label: "cgc-sb", recov: rec})
-			})
-			continue
-		}
-		e.forkAt(slot, pending{space: space, jn: jn, fn: fn, label: "cgc-sb", recov: c.st.recov})
+		e.forkAt(e.slotOf(targets[idx*d/m]), pending{space: space, jn: jn, fn: fn, label: "cgc-sb", recov: c.st.recov})
 	}
 	c.waitJoin(jn)
 }
@@ -415,13 +327,6 @@ func (c *Ctx) nativeSpawn(tasks []Task) {
 
 // waitJoin parks the calling strand until all children of jn have finished.
 func (c *Ctx) waitJoin(jn *join) {
-	// jn.pending is scheduler state: a speculatively executing strand (a
-	// speculator picked mid-inline-chunk, whose fork pre-dates the epoch)
-	// must pause HERE, before the park decision — reading pending during the
-	// execution phase would see a value from the wrong virtual round (a
-	// sibling's completion may commit earlier than this strand's report
-	// round, or not yet have committed), silently forking the schedule.
-	c.serialize()
 	if jn.pending > 0 {
 		jn.waiter = c.st
 		// Record the join for failure recovery: a kill of this strand while
@@ -430,17 +335,6 @@ func (c *Ctx) waitJoin(jn *join) {
 		c.st.waitingOn = jn
 		c.st.park()
 		c.st.waitingOn = nil
-	}
-	if c.st.spec {
-		// Resumed into a speculative phase (the strand was re-enqueued when
-		// its join completed, then picked as a speculator): the free list is
-		// engine state, so park the recycle on the strand — the conductor
-		// collects it at the end of the phase.  At most one can accumulate:
-		// reaching a second waitJoin passes the serialize above, which pauses
-		// the speculator until the commit walk consumes it (clearing spec),
-		// so the later join is recycled through putJoin normally.
-		c.st.putJn = jn
-		return
 	}
 	c.s.eng.putJoin(jn)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync"
 
 	"oblivhm/internal/hm"
 )
@@ -48,11 +47,10 @@ import (
 type yieldKind int
 
 const (
-	yBudget    yieldKind = iota // budget exhausted, still runnable
-	yBlocked                    // parked on a join or a cache queue
-	yRequeue                    // inline finish must reorder behind admitted strands
-	yDone                       // function returned (or panicked)
-	ySerialize                  // speculative strand reached a scheduler interaction (parround.go)
+	yBudget  yieldKind = iota // budget exhausted, still runnable
+	yBlocked                  // parked on a join or a cache queue
+	yRequeue                  // inline finish must reorder behind admitted strands
+	yDone                     // function returned (or panicked)
 )
 
 type yieldMsg struct {
@@ -89,24 +87,6 @@ type strand struct {
 	reserved *cacheSlot // space reservation to release on completion
 	resSpace int64
 
-	// Parallel-rounds speculation state (parround.go).  spec marks a strand
-	// executing concurrently in an epoch's execution phase; specRound counts
-	// the pure rounds it completed before reporting; rep carries the report
-	// (the message its epoch resume returned, stored by the thread that
-	// resumed it before prWG.Done — the WaitGroup is the happens-before
-	// edge); putJn parks a join recycle that the strand could not hand to
-	// the engine while speculating; defFks and defNext hold the forks the
-	// strand caused while speculating, recorded instead of executed and
-	// replayed by the commit walk at their exact serial rounds (appended by
-	// the speculator thread, read by the engine thread — prWG is again the
-	// happens-before edge).
-	spec      bool
-	specRound int
-	rep       yieldMsg
-	putJn     *join
-	defFks    []deferredFork
-	defNext   int
-
 	// Failure-recovery state (failures.go).  recov tags a strand whose work
 	// is re-execution after a core death (replacements and their re-forked
 	// descendants), feeding the re-executed work fraction; waitingOn is the
@@ -117,16 +97,6 @@ type strand struct {
 	recov     bool
 	waitingOn *join
 	inline    []inlineFrame
-}
-
-// deferredFork is one fork recorded by a speculating strand (parround.go):
-// the epoch round it happened in and a closure that performs the placement
-// against live engine state.  Placement decisions (least-loaded scans,
-// admission checks) happen inside apply, at replay time, when the engine
-// state is exactly what the serial schedule would present at that round.
-type deferredFork struct {
-	round int
-	apply func(*engine)
 }
 
 // inlineFrame records the engine accounting of one open inline spawn
@@ -260,21 +230,6 @@ type engine struct {
 	blockedL []*strand // strands currently parked (joins), for forensics
 	prevMiss [][]int64 // per-slot miss counters at the last verified round
 
-	// Parallel-rounds state (parround.go).  prWorkers is the WithParallelRounds
-	// setting (0 = off); the rest is per-epoch: specOf maps a core to its
-	// speculator until the commit walk consumes its report, nspec counts
-	// outstanding speculators, commitRound is the loop round index relative
-	// to the epoch's start, and prWG waits for the concurrently executing
-	// speculators to pause.
-	prWorkers   int
-	specOf      []*strand
-	nspec       int
-	commitRound int
-	prWG        sync.WaitGroup
-	specs       []*strand // epoch scratch
-	bulkCores   []int     // bulkCommit scratch
-	prSpecHook  func()    // test-only: runs right after speculate() arms an epoch
-
 	// Failure injection (failures.go).  fail is the seeded failure domain
 	// (nil unless WithFailures); watchdog is the round budget from
 	// WithWatchdog (0 = off) and wdClock its clock equivalent, computed at
@@ -295,7 +250,6 @@ func newEngine(s *Session, m *hm.Machine) *engine {
 	}
 	e.runq = make([]deque, m.Cores())
 	e.load = make([]int, m.Cores())
-	e.specOf = make([]*strand, m.Cores())
 	return e
 }
 
@@ -335,8 +289,6 @@ func (e *engine) newStrand(core int, anchor *hm.Cache, jn *join, fn func(*Ctx), 
 		st.reserved, st.resSpace = nil, 0
 		st.started, st.done = false, false
 		st.budget, st.rounds, st.grant = 0, 0, 0
-		st.spec, st.specRound, st.putJn = false, 0, nil
-		st.defFks, st.defNext = st.defFks[:0], 0
 		st.recov, st.waitingOn = false, nil
 		st.inline = st.inline[:0]
 		st.ctx.core, st.ctx.anchor = core, anchor
@@ -415,10 +367,6 @@ func (e *engine) run(space int64, root func(*Ctx)) error {
 		e.runq[i] = deque{}
 	}
 	e.blockedL = e.blockedL[:0]
-	e.nspec, e.commitRound = 0, 0
-	for i := range e.specOf {
-		e.specOf[i] = nil
-	}
 	if e.chaos != nil {
 		e.chaos.deferred = e.chaos.deferred[:0]
 	}
@@ -453,9 +401,9 @@ func (e *engine) run(space int64, root func(*Ctx)) error {
 }
 
 // drain stops the coroutine of every strand the run created.  Pooled
-// strands return from main; strands a failed run left parked, queued or
-// paused mid-epoch unwind their task stacks first (suspend panics with
-// killedStrand).  Nothing outlives the run.
+// strands return from main; strands a failed run left parked or queued
+// unwind their task stacks first (suspend panics with killedStrand).
+// Nothing outlives the run.
 func (e *engine) drain() {
 	for i, st := range e.strands {
 		st.stop()
@@ -468,12 +416,6 @@ func (e *engine) drain() {
 
 func (e *engine) loop() error {
 	scanAll := e.steal || e.reference
-	// Parallel rounds are eligible only when nothing observes scheduling at
-	// sub-round granularity: chaos draws, invariant checks, the reference
-	// schedule and failure recovery (which mutates scheduler state between
-	// rounds) are inherently serial, so those runs stay on the serial path
-	// (and are byte-identical by construction).
-	parOK := e.prWorkers >= 2 && e.chaos == nil && !e.verify && !e.reference && e.fail == nil
 	for e.live > 0 || e.qd > 0 {
 		// Chaos: admissions deferred at the previous round boundary fire
 		// before the scan, so deferral perturbs timing without ever costing
@@ -491,21 +433,6 @@ func (e *engine) loop() error {
 		recovered := false
 		if e.fail != nil {
 			recovered = e.fireFailures()
-		}
-		if parOK {
-			if e.nspec == 0 && bits.OnesCount64(e.active) >= 2 {
-				e.speculate()
-				if e.nspec > 0 && e.prSpecHook != nil {
-					e.prSpecHook()
-				}
-			}
-			if e.nspec > 0 {
-				// Collapse the pure replay prefix shared by every speculator
-				// into one bulk transition (parround.go).  Re-checked every
-				// round: an epoch capped by a deferred fork or a consumed
-				// report may expose a second pure stretch.
-				e.bulkCommit()
-			}
 		}
 		progressed := false
 		if scanAll {
@@ -534,7 +461,6 @@ func (e *engine) loop() error {
 			}
 		}
 		e.clock += e.quantum
-		e.commitRound++
 		if e.failErr != nil {
 			return e.failErr
 		}
@@ -601,13 +527,8 @@ func (e *engine) forensics() DeadlockReport {
 }
 
 // runCore gives core c its turn in the current round: up to quantum
-// operations shared by the strands of its queue in order.  While an epoch's
-// commit walk is in flight and this core has an unconsumed speculator, the
-// turn replays the speculated round instead (parround.go).
+// operations shared by the strands of its queue in order.
 func (e *engine) runCore(c int) bool {
-	if e.nspec > 0 && e.specOf[c] != nil {
-		return e.commitCore(c)
-	}
 	budget := e.quantum
 	if e.chaos != nil {
 		budget = e.chaos.budget(e.quantum)
@@ -615,12 +536,6 @@ func (e *engine) runCore(c int) bool {
 	if e.fail != nil {
 		budget = e.fail.coreBudget(c, budget)
 	}
-	return e.runCoreRest(c, budget)
-}
-
-// runCoreRest runs the (rest of the) core's turn: strands of its queue in
-// order, sharing the given budget.
-func (e *engine) runCoreRest(c int, budget int64) bool {
 	progressed := false
 	for budget > 0 {
 		st := e.pop(c)
@@ -662,7 +577,33 @@ func (e *engine) runStrand(st *strand, budget int64) int64 {
 	}
 	e.batchAbort = false
 	st.started = true
-	leftover := e.handleYield(st, st.resume(budget))
+	msg := st.resume(budget)
+	leftover := st.budget
+	switch msg.kind {
+	case yBudget:
+		// Exhausted its grant; runnable again next round (front of queue
+		// preserves run-to-completion order within the core).
+		e.requeueFront(st)
+		leftover = 0
+	case yBlocked:
+		e.trackBlocked(st)
+	case yRequeue:
+		// An inline finish admitted work onto this strand's core; the seed
+		// schedule runs it first, so the strand rejoins at the back.
+		e.enqueue(st)
+	case yDone:
+		// The first strand failure wins.
+		if msg.panicked != nil && e.failErr == nil {
+			e.failErr = &RunError{
+				Core:        st.core,
+				AnchorLevel: st.anchor.Level,
+				AnchorIndex: st.anchor.Index,
+				Label:       st.label,
+				Value:       msg.panicked,
+			}
+		}
+		e.finish(st)
+	}
 	if f := e.fail; f != nil {
 		used := budget - leftover
 		f.rep.TotalOps += used
@@ -671,46 +612,6 @@ func (e *engine) runStrand(st *strand, budget int64) int64 {
 		}
 	}
 	return leftover
-}
-
-// handleYield applies one strand yield to the scheduler state, returning the
-// strand's unused budget.  Factored out of runStrand so the parallel-rounds
-// commit walk (parround.go) can resume a paused speculator mid-turn and
-// handle its next yield identically.
-func (e *engine) handleYield(st *strand, msg yieldMsg) int64 {
-	switch msg.kind {
-	case yBudget:
-		// Exhausted its grant; runnable again next round (front of queue
-		// preserves run-to-completion order within the core).
-		e.requeueFront(st)
-		return 0
-	case yBlocked:
-		e.trackBlocked(st)
-		return st.budget // leftover
-	case yRequeue:
-		// An inline finish admitted work onto this strand's core; the seed
-		// schedule runs it first, so the strand rejoins at the back.
-		e.enqueue(st)
-		return st.budget
-	case yDone:
-		e.handleDone(st, msg.panicked)
-		return st.budget
-	}
-	return 0
-}
-
-// handleDone records a strand failure (first one wins) and finishes it.
-func (e *engine) handleDone(st *strand, panicked any) {
-	if panicked != nil && e.failErr == nil {
-		e.failErr = &RunError{
-			Core:        st.core,
-			AnchorLevel: st.anchor.Level,
-			AnchorIndex: st.anchor.Index,
-			Label:       st.label,
-			Value:       panicked,
-		}
-	}
-	e.finish(st)
 }
 
 // finish handles strand completion: join signalling, space release, queue
@@ -808,17 +709,11 @@ func (e *engine) startsNow(slot *cacheSlot, space int64) bool {
 
 // ---- fork placement bodies ----
 //
-// The per-child placement of every fork path lives in these helpers so the
-// serial fork loops (ctx.go) and the parallel-rounds deferred-fork replay
-// (parround.go) execute literally the same code: a speculating strand records
-// a closure over one of these calls instead of running it, and the commit
-// walk applies it at the exact serial round against live engine state.  Each
-// helper counts its child on the join exactly once.
+// The per-child placement of every fork path in ctx.go.  Each helper counts
+// its child on the join exactly once.
 
 // forkAt places an anchored child task at the given slot (or queues it in
-// Q(λ)).  The slot must be a pure function of immutable machine structure at
-// the call site that chose it — state-dependent slot choices belong inside
-// the deferred closure, not before it.
+// Q(λ)).
 func (e *engine) forkAt(slot *cacheSlot, p pending) {
 	p.jn.pending++
 	e.placeAnchored(slot, p)
@@ -871,10 +766,9 @@ func (e *engine) forkChunk(target int, jn *join, fn func(*Ctx), words int64, rec
 // of cache.  The scan runs in ascending core index over [CoreLo, CoreHi) and
 // only a strictly smaller load displaces the running best, so ties resolve
 // to the lowest-indexed core.  This total order is part of the determinism
-// contract: placements must not depend on anything but engine state, which
-// is what lets the parallel-rounds commit walk (WithParallelRounds)
-// reproduce the schedule byte for byte.  Chaos breaks the tie randomly instead — still
-// among the least-loaded cores, so the placement rule itself is preserved.
+// contract: placements depend on nothing but engine state.  Chaos breaks
+// the tie randomly instead — still among the least-loaded cores, so the
+// placement rule itself is preserved.
 func (e *engine) leastLoadedCore(c *hm.Cache) int {
 	// Dead cores are excluded from the scan.  When the whole shadow is dead
 	// the scan falls back to CoreLo and newStrand's redirect walks up the
@@ -958,10 +852,7 @@ func (st *strand) resume(budget int64) yieldMsg {
 // main is the strand's coroutine body: a pooled worker loop.  Each iteration
 // runs one assignment and yields yDone; the next resume after the engine
 // recycles the strand starts the following assignment on the same (grown)
-// stack.  A speculator that finishes yields the same yDone to whichever
-// thread resumed it, and the commit walk finishes the strand at its
-// recorded round without resuming it.  A false yield means drain stopped
-// the coroutine: main returns.
+// stack.  A false yield means drain stopped the coroutine: main returns.
 func (st *strand) main(yield func(yieldMsg) bool) {
 	st.yieldFn = yield
 	for {
@@ -1013,10 +904,6 @@ func (st *strand) charge(n int64) {
 // engine re-grants: the new budget is a full quantum, not quantum minus the
 // overdraft.
 func (st *strand) chargeSlow() {
-	if st.spec {
-		st.specSlow()
-		return
-	}
 	for st.budget <= 0 {
 		e := st.eng
 		if st.rounds > 0 && !e.batchAbort {
@@ -1030,29 +917,11 @@ func (st *strand) chargeSlow() {
 }
 
 // park blocks the strand until the engine resumes it (join complete).
-// Unreachable while speculating: every park is preceded by a serialize hook
-// (waitJoin entry, fork entries) that pauses a speculator before the state
-// reads deciding the park — a spec park here would mean that decision was
-// made on stale scheduler state, so fail loudly (the panic surfaces through
-// the speculator's yDone report as a *RunError) rather than corrupt the
-// schedule.
-func (st *strand) park() {
-	if st.spec {
-		panic("core: strand parked while speculating (missing serialize hook)")
-	}
-	st.suspend(yieldMsg{kind: yBlocked})
-}
+func (st *strand) park() { st.suspend(yieldMsg{kind: yBlocked}) }
 
 // requeue yields the strand to the back of its core's queue, behind strands
-// the inline finish admitted, and blocks until re-granted.  Unreachable
-// while speculating for the same reason as park (inlineRejoin's queue check
-// follows the inline epilogue serialize hook).
-func (st *strand) requeue() {
-	if st.spec {
-		panic("core: strand requeued while speculating (missing serialize hook)")
-	}
-	st.suspend(yieldMsg{kind: yRequeue})
-}
+// the inline finish admitted, and blocks until re-granted.
+func (st *strand) requeue() { st.suspend(yieldMsg{kind: yRequeue}) }
 
 // ---- inline leaf spawns ----
 
@@ -1085,7 +954,6 @@ func (c *Ctx) inlineSB(t Task) bool {
 		return false
 	}
 	c.st.charge(1)
-	c.serialize() // the charge can suspend; a speculative wake must not touch e.live
 	e.live++
 	e.load[c.core]++
 	if e.fail != nil {
@@ -1093,9 +961,6 @@ func (c *Ctx) inlineSB(t Task) bool {
 	}
 	e.emit(EvNested, c.core, lam.Level, lam.Index, t.Space)
 	t.Fn(c) // child anchor and core equal the parent's
-	// A speculator picked mid-inline-task reaches this epilogue without any
-	// fork hook in between; the accounting below is engine state.
-	c.serialize()
 	if e.fail != nil {
 		c.st.inline = c.st.inline[:len(c.st.inline)-1]
 	}
@@ -1114,7 +979,6 @@ func (c *Ctx) inlineAnchored(slot *cacheSlot, t Task) bool {
 		return false
 	}
 	c.st.charge(1)
-	c.serialize() // as in inlineSB: the charge can suspend mid-machinery
 	slot.used += t.Space
 	slot.anchd++
 	slot.placed++
@@ -1126,7 +990,6 @@ func (c *Ctx) inlineAnchored(slot *cacheSlot, t Task) bool {
 	e.emit(EvAnchor, c.core, slot.cache.Level, slot.cache.Index, t.Space)
 	cc := &Ctx{s: c.s, core: c.core, anchor: slot.cache, st: c.st}
 	t.Fn(cc)
-	c.serialize() // mid-inline-task speculator: epilogue is engine state
 	if e.fail != nil {
 		c.st.inline = c.st.inline[:len(c.st.inline)-1]
 	}

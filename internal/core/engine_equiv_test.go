@@ -373,3 +373,126 @@ func TestEquivQuantumVariants(t *testing.T) {
 		})
 	}
 }
+
+// ---- scheduler stress workloads ----
+
+// parallelWorkload is a representative engine shape: binary SB recursion
+// with PFor leaves over a shared array, enough strands to keep several
+// cores busy.
+func parallelWorkload(s *Session) func(*Ctx) {
+	v := s.NewI64(1 << 12)
+	var rec func(c *Ctx, lo, hi int64, space int64)
+	rec = func(c *Ctx, lo, hi, space int64) {
+		if hi-lo <= 1<<8 {
+			c.PFor(int(hi-lo), 1, func(cc *Ctx, i0, i1 int) {
+				for i := i0; i < i1; i++ {
+					a := v.Base + Addr(lo+int64(i))
+					cc.StoreI(a, cc.LoadI(a)+lo+int64(i))
+				}
+			})
+			return
+		}
+		mid := (lo + hi) / 2
+		c.SpawnSB(
+			Task{Space: space / 2, Fn: func(cc *Ctx) { rec(cc, lo, mid, space/2) }},
+			Task{Space: space / 2, Fn: func(cc *Ctx) { rec(cc, mid, hi, space/2) }},
+		)
+	}
+	return func(c *Ctx) { rec(c, 0, 1<<12, 1<<14) }
+}
+
+// tickHeavyWorkload runs long pure stretches (ticks + array walks) between
+// rare forks, so concurrently runnable strands share rounds for thousands
+// of operations.  Each task owns a disjoint 128-word range.
+func tickHeavyWorkload(s *Session) func(*Ctx) {
+	v := s.NewI64(1 << 10)
+	return func(c *Ctx) {
+		c.SpawnCGCSB(1<<11, 8, func(cc *Ctx, idx int) {
+			base := v.Base + Addr(idx<<7)
+			for i := 0; i < 1<<10; i++ {
+				a := base + Addr(i%(1<<7))
+				cc.StoreI(a, cc.LoadI(a)+int64(idx))
+				cc.Tick(3)
+			}
+		})
+		for i := 0; i < 256; i++ {
+			c.StoreI(v.Base+Addr(i), c.LoadI(v.Base+Addr(i))+1)
+		}
+	}
+}
+
+// forkHeavyWorkload forks constantly: two-task SB forks every few
+// operations, at space bounds cycling through three levels, so placement,
+// admission and joins dominate.
+func forkHeavyWorkload(s *Session) func(*Ctx) {
+	v := s.NewI64(512)
+	var rec func(c *Ctx, lo Addr, d int)
+	rec = func(c *Ctx, lo Addr, d int) {
+		if d == 0 {
+			// Each of the 64 leaves owns the disjoint 8-word range [lo, lo+8).
+			for j := 0; j < 8; j++ {
+				c.StoreI(v.Base+lo+Addr(j), c.LoadI(v.Base+lo+Addr(j))+1)
+			}
+			return
+		}
+		half := Addr(4) << uint(d) // child subtree width: 8<<(d-1) words
+		c.SpawnSB(
+			Task{Space: int64(64 << uint(d%3)), Fn: func(cc *Ctx) { rec(cc, lo, d-1) }},
+			Task{Space: int64(64 << uint(d%3)), Fn: func(cc *Ctx) { rec(cc, lo+half, d-1) }},
+		)
+	}
+	return func(c *Ctx) { rec(c, 0, 6) }
+}
+
+// pforHeavyWorkload repeats a fan-out in which the parent forks a chunk to
+// every sibling core and then runs its own chunk — fork, a long pure
+// stretch, then the join — four times over the same array.
+func pforHeavyWorkload(s *Session) func(*Ctx) {
+	v := s.NewI64(1 << 11)
+	return func(c *Ctx) {
+		for rep := 0; rep < 4; rep++ {
+			c.PFor(1<<11, 1, func(cc *Ctx, lo, hi int) {
+				for r := 0; r < 8; r++ {
+					for i := lo; i < hi; i++ {
+						a := v.Base + Addr(i)
+						cc.StoreI(a, cc.LoadI(a)+1)
+						cc.Tick(1)
+					}
+				}
+			})
+		}
+	}
+}
+
+func stressWorkloads() map[string]func(*Session) func(*Ctx) {
+	return map[string]func(*Session) func(*Ctx){
+		"mixed": parallelWorkload,
+		"tick":  tickHeavyWorkload,
+		"fork":  forkHeavyWorkload,
+		"pfor":  pforHeavyWorkload,
+	}
+}
+
+// TestEquivStressWorkloads runs the stress workloads on every machine
+// shape, plus the mixed one under stealing, the flat scheduler and a fine
+// quantum.
+func TestEquivStressWorkloads(t *testing.T) {
+	for mname, cfg := range equivMachines() {
+		for wname, wl := range stressWorkloads() {
+			checkEquiv(t, mname+"/"+wname, cfg, 1<<15, nil, wl)
+		}
+		for vname, opts := range schedVariants() {
+			checkEquiv(t, mname+"/mixed/"+vname, cfg, 1<<15, opts, parallelWorkload)
+		}
+	}
+}
+
+// schedVariants are the scheduler options the mixed workload also runs
+// under.
+func schedVariants() map[string][]Opt {
+	return map[string][]Opt{
+		"steal": {WithStealing()},
+		"flat":  {WithFlatScheduler()},
+		"q8":    {WithQuantum(8)},
+	}
+}

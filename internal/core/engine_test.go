@@ -184,9 +184,7 @@ func TestRunTwiceOnSameSession(t *testing.T) {
 // TestLeastLoadedCoreTieBreak pins the deterministic total order of core
 // placement: ascending scan over the shadow, strictly-smaller-load wins, so
 // equal loads resolve to the lowest core index.  The goldens freeze the
-// placements this order produces, and the parallel-rounds commit walk
-// reproduces the serial schedule only because placement depends on nothing
-// but engine state.
+// placements this order produces.
 func TestLeastLoadedCoreTieBreak(t *testing.T) {
 	m := hm.MustMachine(hm.MC3(8))
 	e := NewSim(m).eng
@@ -225,8 +223,8 @@ func TestLeastLoadedCoreTieBreak(t *testing.T) {
 
 // TestLeastLoadedSlotTieBreak pins the slot placement order: the key is
 // used+len(queue) (reserved words plus queued tasks), candidates come in
-// ascending cache index, and ties resolve to the lowest index — the same
-// order the goldens and the parallel-rounds commit walk rely on.
+// ascending cache index, and ties resolve to the lowest index — the order
+// the goldens rely on.
 func TestLeastLoadedSlotTieBreak(t *testing.T) {
 	m := hm.MustMachine(hm.HM4(4, 4))
 	e := NewSim(m).eng

@@ -52,12 +52,10 @@ import (
 // determinism contract extends to failures either way: same config + seed
 // → byte-identical failure schedule, recovery actions and metrics.
 //
-// Interplay with the fast paths: failures disable solo batch grants (a
+// Interplay with the fast path: failures disable solo batch grants (a
 // locally committed batch would skip the round boundaries failure events
-// fire at) and parallel rounds (recovery mutates scheduler state between
-// rounds, so the epoch is serialized by construction, exactly like chaos);
-// both fast paths are observably equivalent to the serial lockstep, so a
-// plan with no events reproduces the default metrics bit for bit.
+// fire at); batching is observably equivalent to the per-round lockstep,
+// so a plan with no events reproduces the default metrics bit for bit.
 
 // FailurePlan declares what a seeded failure domain injects.  The zero
 // plan injects nothing (and still freezes the schedule: WithFailures with
@@ -432,9 +430,8 @@ func (e *engine) redirectCore(anchor *hm.Cache) int {
 // drawn deterministically from (seed, plan), with self-healing recovery of
 // the work lost to dead cores.  Same seed, plan, workload and machine →
 // byte-identical failure schedule, recovery actions and metrics.  The
-// recovery hot path runs entirely on the engine goroutine; parallel rounds
-// (WithParallelRounds) are serialized by construction, exactly as under
-// chaos.  See RunStats.Recovery for the degraded-mode report.
+// recovery hot path runs entirely on the engine goroutine.  See
+// RunStats.Recovery for the degraded-mode report.
 func WithFailures(seed int64, plan FailurePlan) Opt {
 	return func(s *Session) {
 		if s.eng != nil {

@@ -219,16 +219,12 @@ func TestFailuresComposeWithChaos(t *testing.T) {
 	}
 }
 
-// TestFailuresSerializeParallelRounds: recovery serializes the epoch, so
-// WithParallelRounds at any worker count is byte-identical to the serial
-// failure run.
+// TestFailuresSerializeParallelRounds: the deprecated no-op
+// WithParallelRounds (legacy_test.go) leaves a failure run byte-identical.
 func TestFailuresSerializeParallelRounds(t *testing.T) {
-	serial := runFailure(t, hm.MC3(8), 2048, WithFailures(2, failPlan))
-	for _, w := range []int{2, 4, 8} {
-		par := runFailure(t, hm.MC3(8), 2048, WithFailures(2, failPlan), WithParallelRounds(w))
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("workers=%d diverged from serial:\n%+v\n%+v", w, serial, par)
-		}
+	want := runFailure(t, hm.MC3(8), 2048, WithFailures(2, failPlan))
+	if got := runFailure(t, hm.MC3(8), 2048, WithFailures(2, failPlan), WithParallelRounds(2)); !reflect.DeepEqual(want, got) {
+		t.Fatalf("diverged under the deprecated option:\n%+v\n%+v", want, got)
 	}
 }
 

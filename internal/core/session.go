@@ -76,8 +76,8 @@ func WithFlatScheduler() Opt {
 // WithParallel is the name of the removed cache-replay backend (DESIGN.md
 // §8), kept so existing callers still build.
 //
-// Deprecated: use WithParallelRounds, which it forwards to.
-func WithParallel(workers int) Opt { return WithParallelRounds(workers) }
+// Deprecated: a no-op, like WithParallelRounds.
+func WithParallel(workers int) Opt { return func(*Session) {} }
 
 // NewSim creates a session executing on the simulated HM machine m.
 func NewSim(m *hm.Machine, opts ...Opt) *Session {

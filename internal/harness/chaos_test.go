@@ -172,6 +172,10 @@ func TestInvalidNOShapeReturnsError(t *testing.T) {
 		{"mt", 961, 8, 4},      // p does not divide the n^2 PE count
 		{"sort", 1000, 8, 4},   // N not a power of two
 		{"prefix", 1000, 8, 4}, // N not a power of two
+		{"mt", 1024, 8, 0},     // zero block size
+		{"ngep", 3, 8, 4},      // matrix side 1 cannot cover the PEs
+		{"ngep-d", 0, 8, 4},    // empty matrix
+		{"mm", 3, 8, 4},        // as ngep, through RunMatMul
 	}
 	for _, tc := range bad {
 		func() {

@@ -51,11 +51,7 @@ func measureFailure(t *testing.T, algo, machine, set string) failureSnapshot {
 	if res.Recovery == nil {
 		t.Fatalf("%s/%s/%s: failure option set produced no recovery report", algo, machine, set)
 	}
-	m := goldenMetrics{Steps: res.Steps, PlacedAt: res.PlacedAt, Steals: res.Steals}
-	for _, l := range res.Levels {
-		m.MaxMisses = append(m.MaxMisses, l.MaxMisses)
-	}
-	return failureSnapshot{Metrics: m, Recovery: res.Recovery}
+	return failureSnapshot{Metrics: metricsTuple(res), Recovery: res.Recovery}
 }
 
 // TestGoldenFailureMatrix pins {mm, mt, spmdv} × {mc3, hm4, hm5} × the three
@@ -180,30 +176,23 @@ func TestFailureSweepDeterministicOutcome(t *testing.T) {
 	}
 }
 
-// TestFailureParallelRoundsByteIdentical: recovery serializes the epoch —
-// WithParallelRounds composed with a failure option set must reproduce the
-// serial degraded-mode tuple byte for byte at every worker count.
+// TestFailureParallelRoundsByteIdentical: the deprecated no-op
+// WithParallelRounds (legacy_test.go) composed with a failure option set
+// reproduces the degraded-mode tuple byte for byte.
 func TestFailureParallelRoundsByteIdentical(t *testing.T) {
 	for _, set := range failureSets {
-		serial := measureFailure(t, "mm", "hm4", set)
-		for _, workers := range []int{2, 4, 8} {
-			opts, err := OptionSet(set)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := RunMO("mm", "hm4", failureN, append(opts, core.WithParallelRounds(workers))...)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", set, workers, err)
-			}
-			m := goldenMetrics{Steps: res.Steps, PlacedAt: res.PlacedAt, Steals: res.Steals}
-			for _, l := range res.Levels {
-				m.MaxMisses = append(m.MaxMisses, l.MaxMisses)
-			}
-			got := failureSnapshot{Metrics: m, Recovery: res.Recovery}
-			if !reflect.DeepEqual(serial, got) {
-				t.Errorf("%s workers=%d diverged from serial:\n  serial %+v / %+v\n  par    %+v / %+v",
-					set, workers, serial.Metrics, serial.Recovery, got.Metrics, got.Recovery)
-			}
+		want := measureFailure(t, "mm", "hm4", set)
+		opts, err := OptionSet(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunMO("mm", "hm4", failureN, append(opts, core.WithParallelRounds(2))...)
+		if err != nil {
+			t.Fatalf("%s: %v", set, err)
+		}
+		if got := (failureSnapshot{Metrics: metricsTuple(res), Recovery: res.Recovery}); !reflect.DeepEqual(want, got) {
+			t.Errorf("%s diverged:\n  want %+v / %+v\n  got  %+v / %+v",
+				set, want.Metrics, want.Recovery, got.Metrics, got.Recovery)
 		}
 	}
 }

@@ -116,8 +116,42 @@ func goldenSuite() map[string][]goldenCase {
 	}
 }
 
+// goldenMachines lists the suite's machines, sorted.
+func goldenMachines() []string {
+	var machines []string
+	for m := range goldenSuite() {
+		machines = append(machines, m)
+	}
+	sort.Strings(machines)
+	return machines
+}
+
 func goldenPath(machine string) string {
 	return filepath.Join("testdata", "golden_"+machine+".json")
+}
+
+// readGolden loads machine's snapshot, keyed by goldenCase.key.
+func readGolden(t *testing.T, machine string) map[string]goldenMetrics {
+	t.Helper()
+	path := goldenPath(machine)
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden snapshot %s (run with -update to create): %v", path, err)
+	}
+	want := map[string]goldenMetrics{}
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatalf("corrupt golden snapshot %s: %v", path, err)
+	}
+	return want
+}
+
+// metricsTuple is the snapshotted slice of r.
+func metricsTuple(r MOResult) goldenMetrics {
+	m := goldenMetrics{Steps: r.Steps, PlacedAt: r.PlacedAt, Steals: r.Steals}
+	for _, l := range r.Levels {
+		m.MaxMisses = append(m.MaxMisses, l.MaxMisses)
+	}
+	return m
 }
 
 func measure(t *testing.T, machine string, gc goldenCase) goldenMetrics {
@@ -126,22 +160,12 @@ func measure(t *testing.T, machine string, gc goldenCase) goldenMetrics {
 	if err != nil {
 		t.Fatalf("%s on %s: %v", gc.key(), machine, err)
 	}
-	m := goldenMetrics{Steps: res.Steps, PlacedAt: res.PlacedAt, Steals: res.Steals}
-	for _, l := range res.Levels {
-		m.MaxMisses = append(m.MaxMisses, l.MaxMisses)
-	}
-	return m
+	return metricsTuple(res)
 }
 
 func TestGoldenMetrics(t *testing.T) {
 	suite := goldenSuite()
-	var machines []string
-	for m := range suite {
-		machines = append(machines, m)
-	}
-	sort.Strings(machines)
-	for _, machine := range machines {
-		machine := machine
+	for _, machine := range goldenMachines() {
 		cases := suite[machine]
 		t.Run(machine, func(t *testing.T) {
 			got := make(map[string]goldenMetrics, len(cases))
@@ -163,14 +187,7 @@ func TestGoldenMetrics(t *testing.T) {
 				t.Logf("wrote %d snapshots to %s", len(got), path)
 				return
 			}
-			buf, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden snapshot %s (run with -update to create): %v", path, err)
-			}
-			want := map[string]goldenMetrics{}
-			if err := json.Unmarshal(buf, &want); err != nil {
-				t.Fatalf("corrupt golden snapshot %s: %v", path, err)
-			}
+			want := readGolden(t, machine)
 			if len(want) != len(got) {
 				t.Errorf("%s: snapshot has %d entries, suite has %d (run -update after reviewing)", path, len(want), len(got))
 			}

@@ -337,6 +337,9 @@ func RunNO(algo string, n, p, b int) (res NOResult, err error) {
 			panic(r)
 		}
 	}()
+	if b < 1 {
+		return NOResult{}, no.Usagef("no: block size B=%d must be at least 1", b)
+	}
 	rng := rand.New(rand.NewSource(7))
 	var w *no.World
 	var predicted float64

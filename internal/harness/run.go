@@ -29,23 +29,22 @@ type RunConfig struct {
 // The names are part of the determinism contract surface: golden snapshots
 // (golden_test.go), sweep specs and CHANGES-visible CLIs all refer to
 // schedules by these names, so entries are append-only: a name whose
-// backend is removed stays, mapped to the backend that replaces it.  That
-// is why par2/par4 and pr2par2/pr4par4, the names of the removed replay
-// backend (DESIGN.md §8) alone and composed, resolve to parallel rounds.
+// backend is removed stays, mapped to the schedule it always produced.
+// That is why the names of the removed replay (DESIGN.md §8) and
+// parallel-rounds (§11) backends resolve to the serial engine: par*, pr*
+// and pr*par* to default, pr4steal to steal.
 var optionSets = map[string]func() []core.Opt{
-	"default": func() []core.Opt { return nil },
-	"steal":   func() []core.Opt { return []core.Opt{core.WithStealing()} },
-	"flat":    func() []core.Opt { return []core.Opt{core.WithFlatScheduler()} },
-	"q8":      func() []core.Opt { return []core.Opt{core.WithQuantum(8)} },
-	"par2":    func() []core.Opt { return []core.Opt{core.WithParallelRounds(2)} },
-	"par4":    func() []core.Opt { return []core.Opt{core.WithParallelRounds(4)} },
-	"pr2":     func() []core.Opt { return []core.Opt{core.WithParallelRounds(2)} },
-	"pr4":     func() []core.Opt { return []core.Opt{core.WithParallelRounds(4)} },
-	"pr2par2": func() []core.Opt { return []core.Opt{core.WithParallelRounds(2)} },
-	"pr4par4": func() []core.Opt { return []core.Opt{core.WithParallelRounds(4)} },
-	"pr4steal": func() []core.Opt {
-		return []core.Opt{core.WithParallelRounds(4), core.WithStealing()}
-	},
+	"default":  func() []core.Opt { return nil },
+	"steal":    func() []core.Opt { return []core.Opt{core.WithStealing()} },
+	"flat":     func() []core.Opt { return []core.Opt{core.WithFlatScheduler()} },
+	"q8":       func() []core.Opt { return []core.Opt{core.WithQuantum(8)} },
+	"par2":     func() []core.Opt { return nil },
+	"par4":     func() []core.Opt { return nil },
+	"pr2":      func() []core.Opt { return nil },
+	"pr4":      func() []core.Opt { return nil },
+	"pr2par2":  func() []core.Opt { return nil },
+	"pr4par4":  func() []core.Opt { return nil },
+	"pr4steal": func() []core.Opt { return []core.Opt{core.WithStealing()} },
 
 	// Failure-injection sets (PR 8).  Each carries a watchdog so a workload
 	// whose restartability assumption breaks down livelocks into a typed

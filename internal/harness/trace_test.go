@@ -138,17 +138,3 @@ func TestTraceCatchesInjectedLeak(t *testing.T) {
 		t.Errorf("injected secret-dependent branch not visible in the trace: %016x/%d on both seeds", a.Hash, a.Accesses)
 	}
 }
-
-// TestStartTraceRefusesParallelBackend: the parallel-rounds backend records
-// accesses through fan-in, whose issue order is not the serial program
-// order, so StartTrace must refuse a machine in fan-in mode.
-func TestStartTraceRefusesParallelBackend(t *testing.T) {
-	m := hm.MustMachine(hm.Presets()["hm4"])
-	m.StartRoundFanIn()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("StartTrace during fan-in recording should panic")
-		}
-	}()
-	m.StartTrace()
-}

@@ -41,15 +41,8 @@ type Machine struct {
 	// path pointer chase.
 	ownMask [][]uint64
 
-	// fan, while fan.on, diverts Load/Store into per-core record buffers so
-	// the engine's parallel-rounds backend can run strands of distinct cores
-	// on concurrent OS threads (fanin.go).  Recorded chunks reach the serial
-	// walk later, via FlushFanChunk, in the serial (round, core) order.
-	fan *roundFanIn
-
 	// trace, when non-nil, chains every Load/Store into a rolling digest of
 	// the access stream (tracecap.go) for the data-obliviousness harness.
-	// Only meaningful outside fan-in recording; StartTrace enforces that.
 	trace *traceCap
 
 	// Steps is advanced by the engine (virtual time); kept here so stats
@@ -162,14 +155,6 @@ func (m *Machine) Top() *Cache { return m.ByLevel[len(m.ByLevel)-1][0] }
 // chunking can respect block boundaries.  The shared memory is arbitrarily
 // large in the model; the simulator grows it on demand.
 func (m *Machine) Alloc(n int64) Addr {
-	if m.fan != nil && m.fan.on {
-		// Growing m.mem would race the speculative strands reading it, and
-		// the bump pointer's value would depend on thread interleaving.  The
-		// engine serialises allocation (core.Ctx allocators); a direct
-		// Session-level allocation from inside a concurrently running strand
-		// is a bug at the call site, surfaced deterministically here.
-		panic("hm: Alloc during a parallel execution phase; allocate through the strand's Ctx so the engine can serialise it")
-	}
 	b1 := m.Cfg.Levels[0].Block
 	a := (m.heap + Addr(b1) - 1) / Addr(b1) * Addr(b1)
 	m.heap = a + Addr(n)
@@ -276,11 +261,7 @@ func (m *Machine) Load(core int, a Addr) uint64 {
 	if t := m.trace; t != nil {
 		t.note(core, a, false)
 	}
-	if f := m.fan; f != nil && f.on {
-		f.record(core, a, false)
-	} else {
-		m.access(core, a, false)
-	}
+	m.access(core, a, false)
 	return m.mem[a]
 }
 
@@ -292,11 +273,7 @@ func (m *Machine) Store(core int, a Addr, v uint64) {
 	if t := m.trace; t != nil {
 		t.note(core, a, true)
 	}
-	if f := m.fan; f != nil && f.on {
-		f.record(core, a, true)
-	} else {
-		m.access(core, a, true)
-	}
+	m.access(core, a, true)
 	m.mem[a] = v
 }
 

@@ -8,12 +8,8 @@ package hm
 // analyzer.  The digest is O(1) state regardless of trace length: each
 // access is folded into a 64-bit FNV-1a-style chain, so capturing a
 // billion-access run costs two multiplies per access and no memory.
-//
-// Capture records at Load/Store issue time, which is the deterministic
-// serial program order only outside fan-in recording: the parallel-rounds
-// backend issues speculative per-core streams whose interleaving is
-// thread-timing dependent.  StartTrace therefore refuses a machine in fan-in
-// mode, and the harness keeps trace runs on the default serial engine.
+// Capture records at Load/Store issue time, which is the engine's
+// deterministic serial program order.
 
 const (
 	fnvOffset64 uint64 = 14695981039346656037
@@ -58,12 +54,7 @@ type TraceDigest struct {
 // StartTrace begins capturing the access stream into a fresh digest.  Peek
 // and Poke bypass capture the same way they bypass the cache model: input
 // initialisation and output verification are not part of the measured trace.
-// Panics while the machine is in fan-in recording (StartRoundFanIn), whose
-// issue order is not the serial program order.
 func (m *Machine) StartTrace() {
-	if m.fan != nil && m.fan.on {
-		panic("hm: StartTrace during fan-in recording; trace capture is serial-order only")
-	}
 	m.trace = &traceCap{hash: fnvOffset64}
 }
 

@@ -19,7 +19,6 @@
 package nogep
 
 import (
-	"fmt"
 	"math"
 
 	"oblivhm/internal/bitint"
@@ -121,7 +120,7 @@ func (g *Engine) RunMatMul(m int, cin, a, b []float64) []float64 {
 func (g *Engine) distribute(m int, host []float64) *buf {
 	n := g.W.N
 	if !bitint.IsPow2(m) || m*m%n != 0 || m*m < n {
-		panic(fmt.Sprintf("nogep: need power-of-two m with m² >= N and N | m² (m=%d, N=%d)", m, n))
+		panic(no.Usagef("nogep: need power-of-two m with m² >= N and N | m² (m=%d, N=%d)", m, n))
 	}
 	b := newBuf(0, n, m)
 	for i := 0; i < m; i++ {
