@@ -104,23 +104,25 @@ failure-sweep:
 	$(GO) test -race -run 'Failure|Watchdog|Recovery|Fault|Survivab' ./internal/core ./internal/harness ./internal/hm ./internal/sweep
 	$(GO) run ./cmd/sweep -spec specs/survivability.json -hypothesis -quiet
 
-# Chaos soak: randomized algo × machine × n sweep under seeded fault
-# injection with runtime invariants and the race detector, plus interleaved
-# chaos-off determinism probes and failure-plan outcome probes (disable the
-# latter with `go run ./cmd/soak -failures=false`).  SOAKTIME=10m for
-# longer runs.
+# Chaos soak: FuzzRunConfig under the race detector for SOAKTIME — random
+# algo × machine × n × option-set points with seeded chaos (invariants on)
+# and seeded failure plans, each run twice and required to repeat exactly.
+# SOAKTIME=10m for longer runs.
 SOAKTIME ?= 60s
 soak:
-	$(GO) run -race ./cmd/soak -duration=$(SOAKTIME) -failures
+	$(GO) test -race -run '^$$' -fuzz '^FuzzRunConfig$$' -fuzztime $(SOAKTIME) ./internal/harness
 
 # Short native fuzz runs: the SPMS sorter and the prefix scan against
-# their sequential specifications, and the sweep-spec parser against its
-# typed-error contract.  FUZZTIME=1m fuzz for longer runs.
+# their sequential specifications, the sweep-spec parser against its
+# typed-error contract, and simulated runs against the robustness contract
+# (no failure without a failure plan, reruns repeat exactly).
+# FUZZTIME=1m fuzz for longer runs.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzSPMSSort -fuzztime=$(FUZZTIME) ./internal/spms
 	$(GO) test -fuzz=FuzzScan -fuzztime=$(FUZZTIME) ./internal/scan
 	$(GO) test -fuzz=FuzzSweepSpec -fuzztime=$(FUZZTIME) ./internal/sweep
+	$(GO) test -fuzz=FuzzRunConfig -fuzztime=$(FUZZTIME) ./internal/harness
 
 # Flame-graph starting point for perf work: profile a representative
 # simulated run.  Override PROFILE_ARGS for other workloads, e.g.

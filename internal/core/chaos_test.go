@@ -8,8 +8,8 @@ import (
 )
 
 // chaosWorkload is a recursive fork-join + CGC mix that exercises every
-// spawn path (SB placement, nested fallback, CGC chunks, inline leaves) so
-// chaos perturbation has real decisions to perturb.
+// spawn path (SB placement, nested fallback, CGC chunks) so chaos
+// perturbation has real decisions to perturb.
 func chaosWorkload(s *Session, n int) (sum int64) {
 	v := s.NewI64(n)
 	s.Run(int64(4*n), func(c *Ctx) {
@@ -129,31 +129,34 @@ func TestInvariantsPassOnCleanRuns(t *testing.T) {
 
 // TestRunErrorCarriesPlacement: a panicking task surfaces through TryRun as
 // a *RunError naming its core, anchor and label, and unwraps to the panic
-// value when that value was an error.
+// value when that value was an error — whether it was forked alone or with
+// a sibling.
 func TestRunErrorCarriesPlacement(t *testing.T) {
 	boom := errors.New("boom")
-	m := hm.MustMachine(hm.MC3(4))
-	s := NewSim(m)
-	// Two tasks so neither takes the inline fast path (an inline leaf runs
-	// on the parent's strand and reports the parent's placement).
-	_, err := s.TryRun(1<<12, func(c *Ctx) {
-		c.SpawnSB(
-			Task{Space: 64, Label: "fragile", Fn: func(cc *Ctx) { panic(boom) }},
-			Task{Space: 64, Label: "sturdy", Fn: func(cc *Ctx) { cc.Tick(1) }},
-		)
-	})
-	var re *RunError
-	if !errors.As(err, &re) {
-		t.Fatalf("TryRun returned %T (%v), want *RunError", err, err)
-	}
-	if re.Label != "fragile" {
-		t.Errorf("label = %q, want fragile", re.Label)
-	}
-	if re.AnchorLevel != 1 {
-		t.Errorf("anchor level = %d, want 1 (task space 64 fits an L1)", re.AnchorLevel)
-	}
-	if !errors.Is(err, boom) {
-		t.Errorf("errors.Is(err, boom) = false; RunError should unwrap to the panic value")
+	fragile := Task{Space: 64, Label: "fragile", Fn: func(cc *Ctx) { panic(boom) }}
+	sturdy := Task{Space: 64, Label: "sturdy", Fn: func(cc *Ctx) { cc.Tick(1) }}
+	for _, tc := range []struct {
+		name  string
+		tasks []Task
+	}{
+		{"pair", []Task{fragile, sturdy}},
+		{"single", []Task{fragile}},
+	} {
+		s := NewSim(hm.MustMachine(hm.MC3(4)))
+		_, err := s.TryRun(1<<12, func(c *Ctx) { c.SpawnSB(tc.tasks...) })
+		var re *RunError
+		if !errors.As(err, &re) {
+			t.Fatalf("%s: TryRun returned %T (%v), want *RunError", tc.name, err, err)
+		}
+		if re.Label != "fragile" {
+			t.Errorf("%s: label = %q, want fragile", tc.name, re.Label)
+		}
+		if re.AnchorLevel != 1 {
+			t.Errorf("%s: anchor level = %d, want 1 (task space 64 fits an L1)", tc.name, re.AnchorLevel)
+		}
+		if !errors.Is(err, boom) {
+			t.Errorf("%s: errors.Is(err, boom) = false; RunError should unwrap to the panic value", tc.name)
+		}
 	}
 }
 

@@ -195,11 +195,6 @@ func (c *Ctx) SpawnSB(tasks ...Task) {
 		}
 		return
 	}
-	// A single forked task that the scheduler would start right here runs
-	// inline on the parent strand (same schedule, no strand round-trip).
-	if len(tasks) == 1 && c.inlineSB(tasks[0]) {
-		return
-	}
 	jn := e.newJoin()
 	for _, t := range tasks {
 		c.st.charge(1)

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math/bits"
-
-	"oblivhm/internal/hm"
-)
+import "oblivhm/internal/hm"
 
 // The simulated executor is a cooperative fork-join engine over the virtual
 // cores of an hm.Machine.  Exactly one strand (lightweight task) executes at
@@ -18,8 +14,8 @@ import (
 // # Fast path and the determinism contract
 //
 // The engine freezes its observable behaviour — Steps, every per-cache miss
-// counter, PlacedAt, Steals, and the trace event stream — while taking three
-// shortcuts on the hot path (DESIGN.md §7):
+// counter, PlacedAt, Steals, and the trace event stream — while taking two
+// shortcuts on the hot path (DESIGN.md §6):
 //
 //   - Batched budgets: when a strand is the only runnable strand anywhere
 //     (e.nrun == 0 after it is popped), interleaving cannot be observed, so
@@ -36,20 +32,16 @@ import (
 //     between assignments and keeps its grown stack, which matters for the
 //     deeply recursive algorithms.  The run stops every coroutine it
 //     created when it ends, failed or not (drain).
-//   - Active-core scan: the round loop walks a bitmask of cores with
-//     non-empty run queues (the machine model caps p at 64) instead of
-//     scanning every runq slice; with stealing enabled it falls back to the
-//     full scan because idle cores must get their stealFor turn.
 //
-// withReference() disables all of the above so tests can cross-check the
-// fast path against the seed schedule operation for operation.
+// withReference() turns off the batched grants so tests can cross-check the
+// fast path against the per-round lockstep schedule operation for
+// operation; pooling cannot affect the schedule.
 
 type yieldKind int
 
 const (
 	yBudget  yieldKind = iota // budget exhausted, still runnable
 	yBlocked                  // parked on a join or a cache queue
-	yRequeue                  // inline finish must reorder behind admitted strands
 	yDone                     // function returned (or panicked)
 )
 
@@ -65,21 +57,16 @@ type strand struct {
 	anchor  *hm.Cache // cache the strand's task is anchored at
 	fn      func(*Ctx)
 	ctx     *Ctx
-	budget  int64
-	rounds  int64 // whole rounds left in the current batch grant
-	grant   int64 // batch rounds for the next resume, written by the engine
+	budget  int64 // operations left in the current grant, set by resume
+	rounds  int64 // whole rounds left in the current batch grant, set by resume
 	started bool  // this assignment has received its first grant
-	done    bool
 
 	// The strand's coroutine (coro.go).  next runs it until its next yield
 	// and returns the yielded message; stop unwinds it for good (drain).
-	// yieldFn is main's yield, through which the strand suspends, and in
-	// carries the budget of the resume in progress (written by the engine
-	// right before next).
+	// yieldFn is main's yield, through which the strand suspends.
 	next    func() (yieldMsg, bool)
 	stop    func()
 	yieldFn func(yieldMsg) bool
-	in      int64
 
 	label    string     // task label carried into failure reports
 	blockIdx int        // index in the engine's blocked list, -1 if not parked
@@ -90,21 +77,9 @@ type strand struct {
 	// Failure-recovery state (failures.go).  recov tags a strand whose work
 	// is re-execution after a core death (replacements and their re-forked
 	// descendants), feeding the re-executed work fraction; waitingOn is the
-	// join the strand is parked on, so killStrand can orphan it; inline is
-	// the stack of inline-spawn frames open on the strand's goroutine stack,
-	// so a kill-panic's skipped epilogues can be rolled back.  All three are
-	// only maintained while failures are enabled.
+	// join the strand is parked on, so killStrand can orphan it.
 	recov     bool
 	waitingOn *join
-	inline    []inlineFrame
-}
-
-// inlineFrame records the engine accounting of one open inline spawn
-// (inlineSB / inlineAnchored): each frame holds a live/load increment, and
-// anchored frames additionally a space reservation at slot.
-type inlineFrame struct {
-	slot  *cacheSlot
-	space int64
 }
 
 // join is a fork-join counter: pending children plus the parked parent.
@@ -217,9 +192,8 @@ type engine struct {
 	qd    int            // tasks sitting in cache queues
 	clock int64
 
-	active     uint64 // bitmask of cores with non-empty run queues
-	batchAbort bool   // an enqueue happened during the outstanding grant
-	reference  bool   // disable the fast paths (seed-equivalent schedule)
+	batchAbort bool // an enqueue happened during the outstanding grant
+	reference  bool // disable batched solo grants (lockstep-only schedule)
 	pool       []*strand
 	strands    []*strand // every strand created this run, stopped by drain
 	freeJoins  []*join
@@ -287,10 +261,9 @@ func (e *engine) newStrand(core int, anchor *hm.Cache, jn *join, fn func(*Ctx), 
 		e.pool = e.pool[:n-1]
 		st.core, st.anchor, st.fn, st.jn = core, anchor, fn, jn
 		st.reserved, st.resSpace = nil, 0
-		st.started, st.done = false, false
-		st.budget, st.rounds, st.grant = 0, 0, 0
+		st.started = false
+		st.budget, st.rounds = 0, 0
 		st.recov, st.waitingOn = false, nil
-		st.inline = st.inline[:0]
 		st.ctx.core, st.ctx.anchor = core, anchor
 	} else {
 		st = &strand{eng: e, core: core, anchor: anchor, fn: fn, jn: jn}
@@ -315,7 +288,6 @@ func (e *engine) enqueue(st *strand) {
 	}
 	e.runq[st.core].pushBack(st)
 	e.nrun++
-	e.active |= 1 << uint(st.core)
 	e.batchAbort = true
 }
 
@@ -342,17 +314,12 @@ func (e *engine) untrackBlocked(st *strand) {
 func (e *engine) requeueFront(st *strand) {
 	e.runq[st.core].pushFront(st)
 	e.nrun++
-	e.active |= 1 << uint(st.core)
 }
 
 func (e *engine) pop(core int) *strand {
 	st := e.runq[core].popFront()
-	if st == nil {
-		return nil
-	}
-	e.nrun--
-	if e.runq[core].empty() {
-		e.active &^= 1 << uint(core)
+	if st != nil {
+		e.nrun--
 	}
 	return st
 }
@@ -362,7 +329,7 @@ func (e *engine) pop(core int) *strand {
 func (e *engine) run(space int64, root func(*Ctx)) error {
 	e.clock = 0
 	e.failErr = nil
-	e.nrun, e.active = 0, 0
+	e.nrun = 0
 	for i := range e.runq {
 		e.runq[i] = deque{}
 	}
@@ -415,7 +382,6 @@ func (e *engine) drain() {
 }
 
 func (e *engine) loop() error {
-	scanAll := e.steal || e.reference
 	for e.live > 0 || e.qd > 0 {
 		// Chaos: admissions deferred at the previous round boundary fire
 		// before the scan, so deferral perturbs timing without ever costing
@@ -434,30 +400,18 @@ func (e *engine) loop() error {
 		if e.fail != nil {
 			recovered = e.fireFailures()
 		}
+		// Visit the cores in order.  A core with an empty run queue has
+		// nothing to run unless stealing is on, and is skipped without a
+		// turn (so it draws no chaos budget); each queue is read when its
+		// core comes up, so cores that mid-round spawns fill later in the
+		// order still run this round.
 		progressed := false
-		if scanAll {
-			for c := range e.runq {
-				if e.fail != nil && e.fail.dead&(1<<uint(c)) != 0 {
-					continue
-				}
-				if e.runCore(c) {
-					progressed = true
-				}
+		for c := range e.runq {
+			if !e.steal && e.runq[c].empty() || e.fail != nil && e.fail.dead&(1<<uint(c)) != 0 {
+				continue
 			}
-		} else {
-			// Visit only cores with runnable strands, in core order.  The
-			// mask is re-read after every visited core, so cores activated
-			// mid-round by spawns still get their turn this round exactly as
-			// in the full scan.
-			for c := 0; c < len(e.runq); c++ {
-				m := e.active >> uint(c)
-				if m == 0 {
-					break
-				}
-				c += bits.TrailingZeros64(m)
-				if e.runCore(c) {
-					progressed = true
-				}
+			if e.runCore(c) {
+				progressed = true
 			}
 		}
 		e.clock += e.quantum
@@ -555,12 +509,12 @@ func (e *engine) runCore(c int) bool {
 // returning the unused budget.  When nothing else is runnable the grant is
 // extended with batchRounds whole rounds (see the package comment).
 func (e *engine) runStrand(st *strand, budget int64) int64 {
-	st.grant = 0
+	var rounds int64
 	// Failures disable batching entirely: a locally committed batch would
 	// skip the round boundaries failure events fire at.  A no-op plan is
 	// still observably equivalent — batching never changes the schedule.
 	if e.nrun == 0 && !e.reference && e.fail == nil && (e.chaos == nil || !e.chaos.coin(2)) {
-		st.grant = batchRounds
+		rounds = batchRounds
 		if e.watchdog > 0 {
 			// Cap the batch at the watchdog horizon so a livelocked solo
 			// strand returns control to the loop in time to be killed.
@@ -570,14 +524,14 @@ func (e *engine) runStrand(st *strand, budget int64) int64 {
 			if rem < 1 {
 				rem = 1
 			}
-			if st.grant > rem {
-				st.grant = rem
+			if rounds > rem {
+				rounds = rem
 			}
 		}
 	}
 	e.batchAbort = false
 	st.started = true
-	msg := st.resume(budget)
+	msg := st.resume(budget, rounds)
 	leftover := st.budget
 	switch msg.kind {
 	case yBudget:
@@ -587,10 +541,6 @@ func (e *engine) runStrand(st *strand, budget int64) int64 {
 		leftover = 0
 	case yBlocked:
 		e.trackBlocked(st)
-	case yRequeue:
-		// An inline finish admitted work onto this strand's core; the seed
-		// schedule runs it first, so the strand rejoins at the back.
-		e.enqueue(st)
 	case yDone:
 		// The first strand failure wins.
 		if msg.panicked != nil && e.failErr == nil {
@@ -617,7 +567,6 @@ func (e *engine) runStrand(st *strand, budget int64) int64 {
 // finish handles strand completion: join signalling, space release, queue
 // admission, and recycling the strand into the pool.
 func (e *engine) finish(st *strand) {
-	st.done = true
 	e.emit(EvDone, st.core, 0, 0, 0)
 	e.live--
 	e.load[st.core]--
@@ -698,13 +647,6 @@ func (e *engine) placeAnchored(slot *cacheSlot, p pending) {
 	slot.queue = append(slot.queue, p)
 	e.qd++
 	e.emit(EvQueue, -1, slot.cache.Level, slot.cache.Index, p.space)
-}
-
-// startsNow reports whether placeAnchored(slot, space) would start the task
-// immediately rather than queueing it in Q(λ).
-func (e *engine) startsNow(slot *cacheSlot, space int64) bool {
-	capWords := slot.cache.Cap * slot.cache.Block
-	return len(slot.queue) == 0 && (slot.used+space <= capWords || slot.anchd == 0)
 }
 
 // ---- fork placement bodies ----
@@ -837,11 +779,12 @@ func (e *engine) leastLoadedSlot(lambda *hm.Cache, j int) *cacheSlot {
 	return best
 }
 
-// resume runs st's coroutine with the given budget until the strand yields,
-// returning what it yielded.  Every engine-side entry into a strand goes
-// through it; only drain's stop bypasses it.
-func (st *strand) resume(budget int64) yieldMsg {
-	st.in = budget
+// resume grants st budget operations plus rounds whole batch rounds and runs
+// its coroutine until the strand yields, returning what it yielded.  Every
+// engine-side entry into a strand goes through it; only drain's stop
+// bypasses it.
+func (st *strand) resume(budget, rounds int64) yieldMsg {
+	st.budget, st.rounds = budget, rounds
 	msg, ok := st.next()
 	if !ok {
 		panic("core: resumed a stopped strand")
@@ -856,8 +799,6 @@ func (st *strand) resume(budget int64) yieldMsg {
 func (st *strand) main(yield func(yieldMsg) bool) {
 	st.yieldFn = yield
 	for {
-		st.budget = st.in
-		st.rounds = st.grant
 		var failed any
 		func() {
 			defer func() {
@@ -873,19 +814,14 @@ func (st *strand) main(yield func(yieldMsg) bool) {
 	}
 }
 
-// suspend yields msg to the engine, then adopts the next grant and its
-// batch extension.  Two unwind paths panic with killedStrand instead, both
-// recovered by main: the poison grant (killStrand), which surfaces as a
-// yDone, and a stopped coroutine (drain), after which main returns.
+// suspend yields msg to the engine and returns once resume has set the next
+// grant.  Two unwind paths panic with killedStrand instead, both recovered
+// by main: the poison grant (killStrand), which surfaces as a yDone, and a
+// stopped coroutine (drain), after which main returns.
 func (st *strand) suspend(msg yieldMsg) {
-	if !st.yieldFn(msg) {
+	if !st.yieldFn(msg) || st.budget == poisonBudget {
 		panic(killedStrand{})
 	}
-	st.budget = st.in
-	if st.budget == poisonBudget {
-		panic(killedStrand{})
-	}
-	st.rounds = st.grant
 }
 
 // charge consumes n operations of the strand's budget.  The decrement is
@@ -918,100 +854,6 @@ func (st *strand) chargeSlow() {
 
 // park blocks the strand until the engine resumes it (join complete).
 func (st *strand) park() { st.suspend(yieldMsg{kind: yBlocked}) }
-
-// requeue yields the strand to the back of its core's queue, behind strands
-// the inline finish admitted, and blocks until re-granted.
-func (st *strand) requeue() { st.suspend(yieldMsg{kind: yRequeue}) }
-
-// ---- inline leaf spawns ----
-
-// inlineSB runs the single task t of a SpawnSB inline on the parent strand
-// when the scheduler would have placed it on the parent's own core as the
-// next strand to run, reporting whether it did.  The schedule is provably
-// unchanged: with the parent's run queue empty, the seed engine would park
-// the parent and immediately grant the child the parent's leftover budget on
-// the same core; the child is never stealable (stealing disables this path),
-// and on completion the parent either continues directly (queue still
-// empty — the seed would pop it right back) or requeues itself behind
-// whatever arrived (matching the seed's admit-then-wake order).  All
-// engine accounting the child would have caused — live/load, reservation,
-// placed counts, trace events, the charge(1) spawn cost — is replicated.
-func (c *Ctx) inlineSB(t Task) bool {
-	e := c.s.eng
-	if e.reference || e.steal || !e.runq[c.core].empty() {
-		return false
-	}
-	lam := c.anchor
-	if e.flat {
-		return c.inlineAnchored(e.leastLoadedSlot(lam, 1), t)
-	}
-	if t.Space <= e.m.Cfg.Levels[lam.Level-2].Capacity {
-		j := e.m.SmallestFit(t.Space)
-		return c.inlineAnchored(e.leastLoadedSlot(lam, j), t)
-	}
-	// Nested at λ: no reservation, same anchor.
-	if e.leastLoadedCore(lam) != c.core {
-		return false
-	}
-	c.st.charge(1)
-	e.live++
-	e.load[c.core]++
-	if e.fail != nil {
-		c.st.inline = append(c.st.inline, inlineFrame{})
-	}
-	e.emit(EvNested, c.core, lam.Level, lam.Index, t.Space)
-	t.Fn(c) // child anchor and core equal the parent's
-	if e.fail != nil {
-		c.st.inline = c.st.inline[:len(c.st.inline)-1]
-	}
-	e.emit(EvDone, c.core, 0, 0, 0)
-	e.live--
-	e.load[c.core]--
-	c.inlineRejoin()
-	return true
-}
-
-// inlineAnchored is the anchored half of inlineSB: reserve space at slot,
-// run the task under the child anchor, release and admit.
-func (c *Ctx) inlineAnchored(slot *cacheSlot, t Task) bool {
-	e := c.s.eng
-	if !e.startsNow(slot, t.Space) || e.leastLoadedCore(slot.cache) != c.core {
-		return false
-	}
-	c.st.charge(1)
-	slot.used += t.Space
-	slot.anchd++
-	slot.placed++
-	e.live++
-	e.load[c.core]++
-	if e.fail != nil {
-		c.st.inline = append(c.st.inline, inlineFrame{slot: slot, space: t.Space})
-	}
-	e.emit(EvAnchor, c.core, slot.cache.Level, slot.cache.Index, t.Space)
-	cc := &Ctx{s: c.s, core: c.core, anchor: slot.cache, st: c.st}
-	t.Fn(cc)
-	if e.fail != nil {
-		c.st.inline = c.st.inline[:len(c.st.inline)-1]
-	}
-	e.emit(EvDone, c.core, 0, 0, 0)
-	e.live--
-	e.load[c.core]--
-	slot.used -= t.Space
-	slot.anchd--
-	e.admit(slot)
-	c.inlineRejoin()
-	return true
-}
-
-// inlineRejoin restores the seed's post-join order: if the inline child's
-// completion made anything runnable on this core (admitted tasks), the seed
-// engine would run it before re-granting the joining parent, so the parent
-// yields to the back of the queue.
-func (c *Ctx) inlineRejoin() {
-	if !c.s.eng.runq[c.core].empty() {
-		c.st.requeue()
-	}
-}
 
 // PlacedAt returns how many tasks have been anchored at the given cache
 // level so far (CGC chunk strands are anchored at level 1 without a
@@ -1068,9 +910,6 @@ func (e *engine) stealFor(c int) *strand {
 	}
 	e.runq[victim].popBack()
 	e.nrun--
-	if e.runq[victim].empty() {
-		e.active &^= 1 << uint(victim)
-	}
 	e.load[victim]--
 	e.load[c]++
 	st.core = c
@@ -1088,11 +927,11 @@ func (s *Session) Steals() int64 {
 	return s.eng.steals
 }
 
-// withReference disables the engine fast paths — batched solo grants,
-// inline leaf spawns, and the active-core scan — so that the schedule is
-// the seed engine's, decision for decision.  Pooling stays on (it cannot
-// affect the schedule).  Used by the equivalence tests to prove the fast
-// path honours the determinism contract on arbitrary workloads.
+// withReference turns off batched solo grants, so every strand yields at
+// every round boundary: the seed engine's lockstep schedule, decision for
+// decision.  Pooling stays on (it cannot affect the schedule).  Used by the
+// equivalence tests to prove the batched fast path honours the determinism
+// contract on arbitrary workloads.
 func withReference() Opt {
 	return func(s *Session) {
 		if s.eng != nil {

@@ -1,16 +1,16 @@
 package core
 
 // Equivalence tests for the engine fast path.  Each workload runs twice on
-// identical machines: once on the fast engine (batched solo grants, inline
-// leaf spawns, active-core scan) and once with withReference(), which takes
-// the seed engine's schedule decision for decision.  The determinism
+// identical machines: once on the fast engine (batched solo grants) and
+// once with withReference(), which grants one round at a time — the seed
+// engine's lockstep schedule, decision for decision.  The determinism
 // contract requires the two runs to agree on every observable: virtual
 // Steps, the full per-cache traffic snapshot, PlacedAt, Steals, and the
 // entire heap contents.
 //
 // The workloads are chosen to drive the paths the algorithm goldens cannot
-// reach — in particular single-task SpawnSB (no shipped algorithm forks a
-// lone SB task), which exercises inlineSB / inlineAnchored / inlineRejoin.
+// reach — in particular single-task SpawnSB, which no shipped algorithm
+// issues (I-GEP forks 2 or 4 tasks, recursive transpose 4).
 
 import (
 	"reflect"
@@ -82,10 +82,10 @@ func equivMachines() map[string]hm.Config {
 	}
 }
 
-// TestEquivSingleTaskSpawnSB drives the inline leaf-spawn path: a chain of
-// single-task SB forks at descending space bounds, each child touching
-// memory before and after forking so the parent/child interleaving is
-// observable through the caches.
+// TestEquivSingleTaskSpawnSB drives single-task SB forks: a chain of them at
+// descending space bounds, each child touching memory before and after
+// forking so the parent/child interleaving is observable through the
+// caches.
 func TestEquivSingleTaskSpawnSB(t *testing.T) {
 	for mname, cfg := range equivMachines() {
 		c2 := cfg.Levels[0].Capacity * 2 // fits below the top on every shape
@@ -179,8 +179,7 @@ func TestEquivCGCSBFanouts(t *testing.T) {
 }
 
 // TestEquivStealing: an unbalanced fork pattern under WithStealing — the
-// fast path must keep the same steal victims and counts (inline spawns are
-// disabled under stealing precisely to preserve them).
+// fast path must keep the same steal victims and counts.
 func TestEquivStealing(t *testing.T) {
 	cfg := hm.HM4(4, 4)
 	checkEquiv(t, "hm4", cfg, 1<<16, []Opt{WithStealing()}, func(s *Session) func(*Ctx) {
@@ -277,10 +276,10 @@ func TestEquivDeepSerial(t *testing.T) {
 	}
 }
 
-// TestEquivInlineChildForks: a single-task SB child (inline candidate) that
-// itself forks nested subtasks round-robin over its anchor's cores — some
-// land on the parent's own run queue while the child is mid-flight, so the
-// child's completion must requeue the parent behind them (inlineRejoin).
+// TestEquivInlineChildForks: a single-task SB child that itself forks
+// nested subtasks round-robin over its anchor's cores — some land on the
+// parent's own run queue while the child is mid-flight, so the parent wakes
+// from its join behind them.
 func TestEquivInlineChildForks(t *testing.T) {
 	for _, mname := range []string{"mc3", "hm4", "hm5"} {
 		cfg := equivMachines()[mname]
@@ -309,8 +308,7 @@ func TestEquivInlineChildForks(t *testing.T) {
 // TestEquivInlineUnderLoad: every core first gets a nested task, then each
 // task forks a lone SB child.  With the siblings loading the other cores,
 // the least-loaded placement lands some children on their parent's own core
-// — the configuration where inlineSB actually fires — while others fall
-// back to the queued path; both must match the reference schedule.
+// and others elsewhere; both must match the reference schedule.
 func TestEquivInlineUnderLoad(t *testing.T) {
 	for _, mname := range []string{"mc3", "hm4", "hm5"} {
 		cfg := equivMachines()[mname]

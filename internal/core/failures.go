@@ -300,7 +300,6 @@ func (e *engine) killCore(c int) {
 	for _, st := range victims {
 		e.killStrand(st)
 	}
-	e.active &^= 1 << uint(c)
 }
 
 // migrateStrand retargets an unstarted strand from a dead core to a
@@ -328,10 +327,9 @@ type killedStrand struct{}
 // killStrand kills an in-flight strand of a dead core and re-executes its
 // work: the strand's task is unwound by resuming its coroutine with the
 // poison budget (an ordinary resume/yield turn, so the protocol invariants
-// hold), the strand returns to the pool, its engine accounting — including
-// inline-spawn frames open on its stack — is rolled back, and a replacement
-// strand running the same recorded closure is enqueued on a surviving core
-// with the dead strand's join and reservation.
+// hold), the strand returns to the pool with its engine accounting rolled
+// back, and a replacement strand running the same recorded closure is
+// enqueued on a surviving core with the dead strand's join and reservation.
 func (e *engine) killStrand(st *strand) {
 	f := e.fail
 	if st.blockIdx >= 0 {
@@ -347,32 +345,15 @@ func (e *engine) killStrand(st *strand) {
 	fn, jn, label, anchor := st.fn, st.jn, st.label, st.anchor
 	reserved, resSpace := st.reserved, st.resSpace
 
-	// Unwind the task.  The strand is suspended (inside chargeSlow, park or
-	// requeue); the poison makes suspend panic with killedStrand, which
-	// unwinds the task function and surfaces as a yDone through the pooled
-	// worker loop's recover.
-	st.grant = 0
-	msg := st.resume(poisonBudget)
+	// Unwind the task.  The strand is suspended (inside chargeSlow or
+	// park); the poison makes suspend panic with killedStrand, which unwinds
+	// the task function and surfaces as a yDone through the pooled worker
+	// loop's recover.
+	msg := st.resume(poisonBudget, 0)
 	if msg.kind != yDone {
 		panic(fmt.Sprintf("core: poisoned strand yielded %d, want yDone", msg.kind))
 	}
 
-	// Roll back inline-spawn frames the panic skipped over: each open frame
-	// had incremented live/load for its inline child, and anchored frames
-	// hold a space reservation to release (innermost first).
-	for i := len(st.inline) - 1; i >= 0; i-- {
-		fr := st.inline[i]
-		e.live--
-		e.load[st.core]--
-		if fr.slot != nil {
-			fr.slot.used -= fr.space
-			fr.slot.anchd--
-			e.admit(fr.slot)
-		}
-	}
-	st.inline = st.inline[:0]
-
-	st.done = true
 	e.live--
 	e.load[st.core]--
 	f.rep.KilledStrands++

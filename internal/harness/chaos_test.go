@@ -57,7 +57,7 @@ func chaosSweepCases() []struct {
 // conservation or occupancy violation fails the run with an
 // *InvariantError.  In -short mode each case gets a rotating pair of seeds
 // instead of all of them, keeping the smoke cheap while the full sweep runs
-// in CI and `make soak`.
+// in CI.
 func TestChaosSweepGoldenPairs(t *testing.T) {
 	cases := chaosSweepCases()
 	for i, c := range cases {

@@ -402,7 +402,9 @@ func RunNO(algo string, n, p, b int) (res NOResult, err error) {
 			}
 		}
 		noalgo.ListRank(w, succ, pred)
-		predicted = float64(n)/float64(p*b) + math.Sqrt(float64(n)/float64(p)*math.Log2(math.Log2(float64(n))))
+		// log log n, with log n clamped at 1 so n = 1 gives 0, not NaN.
+		loglog := math.Log2(math.Max(1, math.Log2(float64(n))))
+		predicted = float64(n)/float64(p*b) + math.Sqrt(float64(n)/float64(p)*loglog)
 
 	case "cc":
 		w = no.NewWorld(n, p, b)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -44,24 +45,52 @@ func TestRunMOUnknowns(t *testing.T) {
 	}
 }
 
+// noShapes are further valid (n, p, B) points per NO algorithm, run after
+// the common n=256, p=4, B=2 shape: eight PEs and a larger block.
+var noShapes = map[string][][3]int{
+	"mt":     {{1 << 10, 8, 4}},
+	"prefix": {{1 << 10, 8, 4}},
+	"fft":    {{1 << 9, 8, 4}},
+	"sort":   {{1 << 9, 8, 4}},
+	"lr":     {{1 << 8, 8, 4}},
+}
+
 func TestRunNOAllAlgos(t *testing.T) {
 	for _, algo := range NOAlgos() {
 		algo := algo
 		t.Run(algo, func(t *testing.T) {
-			res, err := RunNO(algo, 1<<8, 4, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Supersteps <= 0 {
-				t.Fatalf("no supersteps: %+v", res)
-			}
-			if res.Comm < 0 || res.Predicted <= 0 {
-				t.Fatalf("bad accounting: %+v", res)
-			}
-			if s := res.String(); !strings.Contains(s, algo) {
-				t.Errorf("String() missing algo name: %q", s)
+			for _, sh := range append([][3]int{{1 << 8, 4, 2}}, noShapes[algo]...) {
+				res, err := RunNO(algo, sh[0], sh[1], sh[2])
+				if err != nil {
+					t.Fatalf("n=%d p=%d B=%d: %v", sh[0], sh[1], sh[2], err)
+				}
+				if res.Supersteps <= 0 {
+					t.Fatalf("no supersteps: %+v", res)
+				}
+				if res.Comm < 0 || res.Predicted <= 0 {
+					t.Fatalf("bad accounting: %+v", res)
+				}
+				if s := res.String(); !strings.Contains(s, algo) {
+					t.Errorf("String() missing algo name: %q", s)
+				}
 			}
 		})
+	}
+}
+
+// TestRunNOSingleElementFinite: every NO workload accepts a one-element
+// input on one PE, and its prediction and ratio stay finite (lr's
+// log log n term must not turn into NaN at n = 1).
+func TestRunNOSingleElementFinite(t *testing.T) {
+	for _, algo := range NOAlgos() {
+		res, err := RunNO(algo, 1, 1, 1)
+		if err != nil {
+			t.Errorf("%s: %v", algo, err)
+			continue
+		}
+		if math.IsNaN(res.Predicted) || math.IsInf(res.Predicted, 0) || math.IsNaN(res.Ratio) || math.IsInf(res.Ratio, 0) {
+			t.Errorf("%s: predicted=%v ratio=%v, want finite", algo, res.Predicted, res.Ratio)
+		}
 	}
 }
 

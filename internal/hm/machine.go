@@ -2,7 +2,6 @@ package hm
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -290,10 +289,6 @@ func (m *Machine) Poke(a Addr, v uint64) {
 	}
 	m.mem[a] = v
 }
-
-// PeekF64 / PokeF64 are float64 views of Peek/Poke.
-func (m *Machine) PeekF64(a Addr) float64    { return math.Float64frombits(m.Peek(a)) }
-func (m *Machine) PokeF64(a Addr, v float64) { m.Poke(a, math.Float64bits(v)) }
 
 // ResetStats zeroes every cache counter and the access/step counters;
 // contents and heap are preserved.

@@ -18,11 +18,6 @@ func (m *Machine) Under(lambda *Cache, j int) []*Cache {
 	return m.ByLevel[j-1][lo : lo+per]
 }
 
-// ShadowCores returns the half-open core range [lo, hi) under λ.
-func (m *Machine) ShadowCores(lambda *Cache) (lo, hi int) {
-	return lambda.CoreLo, lambda.CoreHi
-}
-
 // SmallestFit returns the smallest cache level i (1-based) whose capacity
 // C_i is at least space, or the top level if none fits (tasks larger than
 // the largest cache are anchored at the top, where only cold traffic is

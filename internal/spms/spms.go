@@ -199,10 +199,6 @@ func insertion(c *core.Ctx, v core.Pairs) {
 	}
 }
 
-// SortByKey sorts v by Key only (payload order among equal keys follows the
-// lexicographic tie-break, which is deterministic).
-func SortByKey(c *core.Ctx, v core.Pairs) { Sort(c, v) }
-
 func isqrt(n int) int {
 	r := 1
 	for (r+1)*(r+1) <= n {
