@@ -1,0 +1,299 @@
+package hm
+
+// FuzzMachine is the machine-level differential check of the cache walk.
+// Each input draws a valid config (1-3 cache levels, arities 1-4, Ways
+// 0/1/2/4/8, coherence on or off) and a multi-core load/store stream that
+// mixes sequential, hot-set and uniform addresses, with occasional
+// InjectCacheFault, FlushCaches and ResetStats.  The stream runs through
+// Machine and through refMachine, a deliberately naive model of the same
+// hierarchy: per cache a map plus a recency slice, and per write a
+// brute-force scan of every off-path cache at every level.  After every
+// step each cache's CacheStats and Resident() must agree.  The seed corpus
+// runs under `go test ./...`; `make fuzz` fuzzes it.
+
+import (
+	"math/rand"
+	"testing"
+)
+
+func FuzzMachine(f *testing.F) {
+	// Seeds 54, 71, 161, 182, 187 and 225 draw coherent multi-core machines
+	// whose L1s are fully associative with 64 slots, like every preset's;
+	// 14, 54, 71 and 161 put linked-list LRUs above them; 2, 101, 187 and
+	// 225 mix in set-associative levels; 5 has coherence off.
+	for _, seed := range []int64{1, 2, 4, 5, 14, 54, 71, 101, 161, 182, 187, 225} {
+		f.Add(seed, uint16(20000))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, steps uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := randomConfig(rng)
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatalf("generated an invalid config %v: %v", cfg, err)
+		}
+		ref := newRefMachine(cfg)
+		top := cfg.Levels[len(cfg.Levels)-1].Capacity
+		span := cfg.Levels[0].Capacity << uint(rng.Intn(3))
+		for span < top*4 && rng.Intn(2) == 0 {
+			span *= 2
+		}
+		base := m.Alloc(span)
+		mem := make([]uint64, span)
+		hot := make([]int64, 1+rng.Intn(16))
+		for i := range hot {
+			hot[i] = rng.Int63n(span)
+		}
+		cursor := make([]int64, m.Cores())
+		for i := range cursor {
+			cursor[i] = rng.Int63n(span)
+		}
+		core := 0
+		for step := 0; step < int(steps); step++ {
+			switch r := rng.Intn(1000); {
+			case r == 0:
+				m.FlushCaches()
+				ref.flush()
+			case r < 3:
+				m.ResetStats()
+				ref.resetStats()
+			case r < 6:
+				level := 1 + rng.Intn(len(cfg.Levels))
+				index := rng.Intn(len(m.ByLevel[level-1]))
+				got := m.InjectCacheFault(level, index)
+				if want := ref.fault(level, index); got != want {
+					t.Fatalf("step %d: fault at L%d[%d] dropped %d blocks, model held %d", step, level, index, got, want)
+				}
+			default:
+				if rng.Intn(4) == 0 {
+					core = rng.Intn(m.Cores())
+				}
+				var w int64
+				switch k := rng.Intn(10); {
+				case k < 4:
+					cursor[core] = (cursor[core] + 1) % span
+					w = cursor[core]
+				case k < 7:
+					w = hot[rng.Intn(len(hot))]
+				default:
+					w = rng.Int63n(span)
+				}
+				a := base + Addr(w)
+				if rng.Intn(3) == 0 {
+					v := rng.Uint64()
+					m.Store(core, a, v)
+					mem[w] = v
+					ref.access(core, a, true)
+				} else {
+					if got := m.Load(core, a); got != mem[w] {
+						t.Fatalf("step %d: core %d load %d = %d, want %d", step, core, a, got, mem[w])
+					}
+					ref.access(core, a, false)
+				}
+			}
+			ref.check(t, m, step)
+		}
+		for i, level := range ref.levels {
+			for j, c := range level {
+				for b := range c.dirty {
+					if !m.ByLevel[i][j].Contains(b) {
+						t.Fatalf("L%d[%d]: model holds block %d, machine does not", i+1, j, b)
+					}
+				}
+			}
+		}
+	})
+}
+
+// randomConfig draws a valid machine: 1-3 cache levels, level-1 blocks of
+// 1-4 words and 2-128 blocks (so both the 64-slot timestamp L1 of the
+// presets and the linked-list LRU of larger sets occur), upper arities 1-4
+// with capacities and blocks grown just enough to satisfy Validate.
+func randomConfig(rng *rand.Rand) Config {
+	ways := []int{0, 0, 0, 0, 1, 2, 4, 8} // half fully associative
+	block := int64(1) << uint(rng.Intn(3))
+	blocks := int64(2) << uint(rng.Intn(7))
+	if blocks < block {
+		blocks = block
+	}
+	levels := []LevelSpec{{Capacity: block * blocks, Block: block, Arity: 1, Ways: ways[rng.Intn(len(ways))]}}
+	for n := 1 + rng.Intn(3); len(levels) < n; {
+		prev := levels[len(levels)-1]
+		arity := 1 + rng.Intn(4)
+		block := prev.Block << uint(rng.Intn(2))
+		capacity := prev.Capacity << uint(rng.Intn(2))
+		for capacity < int64(arity)*prev.Capacity || capacity <= prev.Capacity || capacity < block*block {
+			capacity *= 2
+		}
+		levels = append(levels, LevelSpec{Capacity: capacity, Block: block, Arity: arity, Ways: ways[rng.Intn(len(ways))]})
+	}
+	return Config{Name: "fuzz", Levels: levels, Coherence: rng.Intn(4) != 0}
+}
+
+// refCache is the naive model of one cache: resident blocks in recency
+// order (least recent first) and a map from each resident block to its
+// dirty bit.  A miss in a full set evicts the least recent block of that
+// set, found by a linear scan.
+type refCache struct {
+	shift       uint
+	ways, nsets int64
+	lru         []int64
+	dirty       map[int64]bool
+	stats       CacheStats
+}
+
+func (c *refCache) remove(b int64) {
+	for i, x := range c.lru {
+		if x == b {
+			c.lru = append(c.lru[:i], c.lru[i+1:]...)
+			return
+		}
+	}
+}
+
+func (c *refCache) access(b int64, write bool) bool {
+	if _, ok := c.dirty[b]; ok {
+		c.stats.Hits++
+		c.remove(b)
+		c.lru = append(c.lru, b)
+		if write {
+			c.dirty[b] = true
+		}
+		return true
+	}
+	c.stats.Misses++
+	inSet, victim := int64(0), int64(-1)
+	for _, x := range c.lru {
+		if x%c.nsets == b%c.nsets {
+			if inSet == 0 {
+				victim = x
+			}
+			inSet++
+		}
+	}
+	if inSet == c.ways {
+		c.stats.Evictions++
+		if c.dirty[victim] {
+			c.stats.Writebacks++
+		}
+		delete(c.dirty, victim)
+		c.remove(victim)
+	}
+	c.lru = append(c.lru, b)
+	c.dirty[b] = write
+	return false
+}
+
+func (c *refCache) invalidate(b int64) {
+	dirty, ok := c.dirty[b]
+	if !ok {
+		return
+	}
+	c.stats.Invalidations++
+	if dirty {
+		c.stats.Writebacks++
+	}
+	delete(c.dirty, b)
+	c.remove(b)
+}
+
+func (c *refCache) drop() {
+	c.lru = c.lru[:0]
+	c.dirty = map[int64]bool{}
+}
+
+// refMachine is the naive model of a whole machine: levels[i][j] is cache j
+// of level i+1, above cores [j*under[i], (j+1)*under[i]).
+type refMachine struct {
+	coherent bool
+	levels   [][]*refCache
+	under    []int
+	accesses int64
+}
+
+func newRefMachine(cfg Config) *refMachine {
+	r := &refMachine{coherent: cfg.Coherence}
+	for i, spec := range cfg.Levels {
+		capBlocks := spec.Capacity / spec.Block
+		ways := int64(spec.Ways)
+		if ways <= 0 || ways > capBlocks {
+			ways = capBlocks
+		}
+		shift := uint(0)
+		for int64(1)<<shift < spec.Block {
+			shift++
+		}
+		level := make([]*refCache, cfg.CachesAt(i+1))
+		for j := range level {
+			level[j] = &refCache{shift: shift, ways: ways, nsets: capBlocks / ways, dirty: map[int64]bool{}}
+		}
+		r.levels = append(r.levels, level)
+		r.under = append(r.under, cfg.CoresUnder(i+1))
+	}
+	return r
+}
+
+// access walks core's path upward to the first hit, installing on every
+// missed level; a write then invalidates the covering block in every cache
+// off core's path, at every level.
+func (r *refMachine) access(core int, a Addr, write bool) {
+	r.accesses++
+	for i, level := range r.levels {
+		c := level[core/r.under[i]]
+		if c.access(int64(a)>>c.shift, write) {
+			break
+		}
+	}
+	if !write || !r.coherent {
+		return
+	}
+	for i, level := range r.levels {
+		for j, c := range level {
+			if j != core/r.under[i] {
+				c.invalidate(int64(a) >> c.shift)
+			}
+		}
+	}
+}
+
+func (r *refMachine) fault(level, index int) int64 {
+	c := r.levels[level-1][index]
+	n := int64(len(c.lru))
+	c.drop()
+	return n
+}
+
+func (r *refMachine) flush() {
+	for _, level := range r.levels {
+		for _, c := range level {
+			c.drop()
+		}
+	}
+	r.resetStats()
+}
+
+func (r *refMachine) resetStats() {
+	for _, level := range r.levels {
+		for _, c := range level {
+			c.stats = CacheStats{}
+		}
+	}
+	r.accesses = 0
+}
+
+func (r *refMachine) check(t *testing.T, m *Machine, step int) {
+	t.Helper()
+	if m.Accesses != r.accesses {
+		t.Fatalf("step %d: accesses = %d, model %d", step, m.Accesses, r.accesses)
+	}
+	for i, level := range r.levels {
+		for j, c := range level {
+			got := m.ByLevel[i][j]
+			if got.Stats != c.stats {
+				t.Fatalf("step %d: L%d[%d] stats = %+v, model %+v", step, i+1, j, got.Stats, c.stats)
+			}
+			if got.Resident() != int64(len(c.lru)) {
+				t.Fatalf("step %d: L%d[%d] resident = %d, model %d", step, i+1, j, got.Resident(), len(c.lru))
+			}
+		}
+	}
+}
