@@ -1,6 +1,7 @@
 package hm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -97,39 +98,61 @@ func TestCacheNeverExceedsCapacity(t *testing.T) {
 	}
 }
 
-// TestCacheMatchesReferenceLRU cross-checks the linked-list implementation
-// against a straightforward slice-based LRU model.
+// TestCacheMatchesReferenceLRU cross-checks both LRU implementations
+// against a slice-based model: timestamps with the victim buffer (8 blocks,
+// and the presets' 64-block L1, where the buffer holds a quarter of the
+// set) and the linked list (128 blocks, above stampLRUMax).  The random
+// stream mixes invalidations in with the accesses, so buffered victims get
+// invalidated, reinstalled and touched before they are due.
 func TestCacheMatchesReferenceLRU(t *testing.T) {
-	const capBlocks = 8
-	c := newTestCache(capBlocks, 8)
-	var ref []int64 // ref[0] is MRU
-	refAccess := func(b int64) bool {
-		for i, x := range ref {
-			if x == b {
-				ref = append(ref[:i], ref[i+1:]...)
-				ref = append([]int64{b}, ref...)
-				return true
+	for _, capBlocks := range []int64{8, 64, 128} {
+		t.Run(fmt.Sprintf("cap%d", capBlocks), func(t *testing.T) {
+			c := newTestCache(capBlocks, 8)
+			var ref []int64 // ref[0] is MRU
+			var evictions, invalidations int64
+			remove := func(b int64) bool {
+				for i, x := range ref {
+					if x == b {
+						ref = append(ref[:i], ref[i+1:]...)
+						return true
+					}
+				}
+				return false
 			}
-		}
-		ref = append([]int64{b}, ref...)
-		if len(ref) > capBlocks {
-			ref = ref[:capBlocks]
-		}
-		return false
-	}
-	rng := rand.New(rand.NewSource(42))
-	for k := 0; k < 5000; k++ {
-		b := int64(rng.Intn(20))
-		gotHit := c.access(b, false)
-		wantHit := refAccess(b)
-		if gotHit != wantHit {
-			t.Fatalf("step %d block %d: hit=%v want %v", k, b, gotHit, wantHit)
-		}
-	}
-	for _, b := range ref {
-		if !c.Contains(b) {
-			t.Fatalf("reference holds %d but cache does not", b)
-		}
+			rng := rand.New(rand.NewSource(42))
+			for k := 0; k < 20000; k++ {
+				b := rng.Int63n(capBlocks * 5 / 2)
+				if rng.Intn(8) == 0 {
+					c.invalidate(b)
+					if remove(b) {
+						invalidations++
+					}
+					continue
+				}
+				gotHit := c.access(b, false)
+				wantHit := remove(b)
+				ref = append([]int64{b}, ref...)
+				if int64(len(ref)) > capBlocks {
+					ref = ref[:capBlocks]
+					evictions++
+				}
+				if gotHit != wantHit {
+					t.Fatalf("step %d block %d: hit=%v want %v", k, b, gotHit, wantHit)
+				}
+			}
+			if c.Stats.Evictions != evictions || c.Stats.Invalidations != invalidations {
+				t.Fatalf("evictions %d, invalidations %d; model %d, %d",
+					c.Stats.Evictions, c.Stats.Invalidations, evictions, invalidations)
+			}
+			if c.Resident() != int64(len(ref)) {
+				t.Fatalf("resident %d, model %d", c.Resident(), len(ref))
+			}
+			for _, b := range ref {
+				if !c.Contains(b) {
+					t.Fatalf("reference holds %d but cache does not", b)
+				}
+			}
+		})
 	}
 }
 
