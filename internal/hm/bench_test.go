@@ -1,0 +1,84 @@
+package hm
+
+// Microbenchmarks of the cache walk alone, without the engine or an
+// algorithm on top: one Load or Store per op.  `make bench-smoke` runs each
+// once as a crash gate; time them with
+// `go test -run '^$' -bench Machine -count 5 ./internal/hm`.
+
+import (
+	"math/rand"
+	"testing"
+)
+
+var benchSink uint64
+
+// BenchmarkMachineL1HitLoad: loads that always hit core 0's L1 on hm4.
+func BenchmarkMachineL1HitLoad(b *testing.B) {
+	m := MustMachine(HM4(4, 4))
+	const n = 256 // half of the 512-word L1
+	a := m.Alloc(n)
+	for i := Addr(0); i < n; i++ {
+		m.Load(0, a+i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += m.Load(0, a+Addr(i&(n-1)))
+	}
+}
+
+// BenchmarkMachineL1HitStore: stores that always hit core 0's L1 on hm4,
+// to blocks no other cache holds.
+func BenchmarkMachineL1HitStore(b *testing.B) {
+	m := MustMachine(HM4(4, 4))
+	const n = 256
+	a := m.Alloc(n)
+	for i := Addr(0); i < n; i++ {
+		m.Store(0, a+i, 0)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Store(0, a+Addr(i&(n-1)), uint64(i))
+	}
+}
+
+// BenchmarkMachineStreamHM4: one core reads then writes each word of a
+// region 4x the hm4 L3, in order (the access pattern of an in-place scan).
+func BenchmarkMachineStreamHM4(b *testing.B) {
+	m := MustMachine(HM4(4, 4))
+	const n = 1 << 20
+	a := m.Alloc(n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := a + Addr(i>>1&(n-1))
+		if i&1 == 0 {
+			benchSink += m.Load(0, w)
+		} else {
+			m.Store(0, w, uint64(i))
+		}
+	}
+}
+
+// BenchmarkMachineRandomMC3: uniform random loads and stores (one in four)
+// by all 8 cores of mc3 over half its L2, so most accesses miss the L1,
+// hit the L2, and writes invalidate other cores' copies.
+func BenchmarkMachineRandomMC3(b *testing.B) {
+	m := MustMachine(MC3(8))
+	const n, ops = 1 << 15, 1 << 16
+	a := m.Alloc(n)
+	rng := rand.New(rand.NewSource(1))
+	addr := make([]Addr, ops)
+	core := make([]int, ops)
+	for i := range addr {
+		addr[i] = a + Addr(rng.Intn(n))
+		core[i] = rng.Intn(m.Cores())
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i & (ops - 1)
+		if i&3 == 3 {
+			m.Store(core[k], addr[k], uint64(i))
+		} else {
+			benchSink += m.Load(core[k], addr[k])
+		}
+	}
+}
