@@ -1,9 +1,10 @@
 package hm
 
 // Microbenchmarks of the cache walk alone, without the engine or an
-// algorithm on top: one Load or Store per op.  `make bench-smoke` runs each
+// algorithm on top: one Load or Store per op, except for the cold scan,
+// whose op is a whole run on a fresh machine.  `make bench-smoke` runs each
 // once as a crash gate; time them with
-// `go test -run '^$' -bench Machine -count 5 ./internal/hm`.
+// `go test -run '^$' -bench Machine -benchmem -count 5 ./internal/hm`.
 
 import (
 	"math/rand"
@@ -79,6 +80,36 @@ func BenchmarkMachineRandomMC3(b *testing.B) {
 			m.Store(core[k], addr[k], uint64(i))
 		} else {
 			benchSink += m.Load(core[k], addr[k])
+		}
+	}
+}
+
+// BenchmarkMachineColdScanHM4: a fresh hm4 machine per op, whose 16 cores
+// stream a 2^20-word array in scanTurns: the access pattern of
+// scan-stream without the engine.  Its B/op is the host memory the hm
+// layer allocates for that run.
+func BenchmarkMachineColdScanHM4(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := MustMachine(HM4(4, 4))
+		const n = 1 << 20
+		scanTurns(m, m.Alloc(n), n)
+	}
+}
+
+// scanTurns splits the n words at a into one contiguous chunk per core and
+// lets the cores take turns of 32 accesses each, a load and a store of 16
+// consecutive words of their own chunk, until every word has been read
+// and written once.
+func scanTurns(m *Machine, a Addr, n int64) {
+	p := int64(m.Cores())
+	chunk := n / p
+	for off := int64(0); off < chunk; off += 16 {
+		for c := 0; c < int(p); c++ {
+			w := a + Addr(int64(c)*chunk+off)
+			for k := Addr(0); k < 16; k++ {
+				m.Store(c, w+k, m.Load(c, w+k)+1)
+			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package hm
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -103,10 +102,24 @@ func TestCacheNeverExceedsCapacity(t *testing.T) {
 // and the presets' 64-block L1, where the buffer holds a quarter of the
 // set) and the linked list (128 blocks, above stampLRUMax).  The random
 // stream mixes invalidations in with the accesses, so buffered victims get
-// invalidated, reinstalled and touched before they are due.
+// invalidated, reinstalled and touched before they are due.  The sparse
+// case maps the drawn ids to pairs that straddle index page boundaries,
+// three pages apart, so lookups also meet absent pages.
 func TestCacheMatchesReferenceLRU(t *testing.T) {
-	for _, capBlocks := range []int64{8, 64, 128} {
-		t.Run(fmt.Sprintf("cap%d", capBlocks), func(t *testing.T) {
+	dense := func(k int64) int64 { return k }
+	sparse := func(k int64) int64 { return k/2*3*pageLen + pageLen - 1 + k%2 }
+	for _, tc := range []struct {
+		name      string
+		capBlocks int64
+		id        func(int64) int64
+	}{
+		{"cap8", 8, dense},
+		{"cap64", 64, dense},
+		{"cap128", 128, dense},
+		{"cap64-sparse", 64, sparse},
+	} {
+		capBlocks := tc.capBlocks
+		t.Run(tc.name, func(t *testing.T) {
 			c := newTestCache(capBlocks, 8)
 			var ref []int64 // ref[0] is MRU
 			var evictions, invalidations int64
@@ -121,7 +134,7 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(42))
 			for k := 0; k < 20000; k++ {
-				b := rng.Int63n(capBlocks * 5 / 2)
+				b := tc.id(rng.Int63n(capBlocks * 5 / 2))
 				if rng.Intn(8) == 0 {
 					c.invalidate(b)
 					if remove(b) {

@@ -201,3 +201,102 @@ func TestSnapshotString(t *testing.T) {
 		t.Fatal("empty snapshot string")
 	}
 }
+
+// pagesHeld counts the allocated pages of a page table.
+func pagesHeld[P any](table []*P) int64 {
+	var n int64
+	for _, pg := range table {
+		if pg != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFootprintFollowsTouchedRange: on hm4, 16 cores each stream their own
+// 2^16-word slice of a 2^20-word array.  An L1's block index may cover
+// only its slice's blocks plus one page (the slice is one touched
+// region), and the simulated memory only the heap plus one page.
+func TestFootprintFollowsTouchedRange(t *testing.T) {
+	m := MustMachine(HM4(4, 4))
+	const n = 1 << 20
+	scanTurns(m, m.Alloc(n), n)
+	sliceBlocks := n / int64(m.Cores()) / m.Cfg.Levels[0].Block
+	for _, c := range m.ByLevel[0] {
+		if got := pagesHeld(c.index) * pageLen; got > sliceBlocks+pageLen {
+			t.Errorf("L1[%d] index covers %d blocks, want at most %d", c.Index, got, sliceBlocks+pageLen)
+		}
+	}
+	if got := pagesHeld(m.mem) * memPageWords; got > m.HeapWords()+memPageWords {
+		t.Errorf("memory holds %d words for a %d-word heap", got, m.HeapWords())
+	}
+}
+
+// TestColdRunsAllocateNothing: a second pass of the same stream after
+// FlushCaches reuses every page and array the first pass allocated.
+func TestColdRunsAllocateNothing(t *testing.T) {
+	m := MustMachine(HM4(4, 4))
+	const n = 1 << 20
+	a := m.Alloc(n)
+	scanTurns(m, a, n)
+	allocs := testing.AllocsPerRun(2, func() {
+		m.FlushCaches()
+		scanTurns(m, a, n)
+	})
+	if allocs != 0 {
+		t.Fatalf("a cold pass allocated %v times", allocs)
+	}
+}
+
+// TestMemoryContracts pins Peek, Poke and Load at and past the heap.
+func TestMemoryContracts(t *testing.T) {
+	const far = 3*memPageWords + 5 // past the heap, with an untouched page between
+	cases := []struct {
+		name string
+		run  func(t *testing.T, m *Machine, a Addr)
+	}{
+		{"peek of an unwritten word reads 0", func(t *testing.T, m *Machine, a Addr) {
+			if got := m.Peek(a + memPageWords + 7); got != 0 {
+				t.Fatalf("Peek = %d, want 0", got)
+			}
+		}},
+		{"poke past the heap reads back", func(t *testing.T, m *Machine, a Addr) {
+			top := Addr(m.HeapWords())
+			m.Poke(top+far, 42)
+			if got := m.Peek(top + far); got != 42 {
+				t.Fatalf("Peek = %d, want 42", got)
+			}
+			if got := m.Peek(top + memPageWords); got != 0 {
+				t.Fatalf("Peek of an untouched page = %d, want 0", got)
+			}
+			if m.HeapWords() != int64(top) {
+				t.Fatalf("Poke moved the heap to %d", m.HeapWords())
+			}
+		}},
+		{"alloc over a poked word keeps it", func(t *testing.T, m *Machine, a Addr) {
+			top := Addr(m.HeapWords())
+			m.Poke(top+far, 42)
+			m.Alloc(2 * far)
+			if got := m.Load(0, top+far); got != 42 {
+				t.Fatalf("Load = %d, want 42", got)
+			}
+		}},
+		{"load past the heap panics", func(t *testing.T, m *Machine, a Addr) {
+			top := Addr(m.HeapWords())
+			m.Poke(top, 1)
+			defer func() {
+				e, ok := recover().(*AddressError)
+				if !ok || e.Addr != top || e.Heap != int64(top) || e.Write {
+					t.Fatalf("recovered %v, want a load *AddressError at %d", e, top)
+				}
+			}()
+			m.Load(0, top)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := MustMachine(MC3(2))
+			tc.run(t, m, m.Alloc(2*memPageWords+3))
+		})
+	}
+}
