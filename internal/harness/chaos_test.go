@@ -9,8 +9,11 @@ package harness
 // schedules, same termination, no invariant violations, no races.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -106,6 +109,72 @@ func TestChaosSameSeedReproducible(t *testing.T) {
 			if !reflect.DeepEqual(a, b) {
 				t.Errorf("%s seed %d: two chaos runs disagree:\n  %+v\n  %+v", gc.key(), seed, a, b)
 			}
+		}
+	}
+}
+
+// chaosCell is one snapshotted chaos run: the metric tuple plus the
+// recovery report, or the error text when the run failed.
+type chaosCell struct {
+	failureSnapshot
+	Err string `json:"err,omitempty"`
+}
+
+// TestGoldenChaosMatrix pins chaos schedules across commits: {mm, sort, lr,
+// spmdv} × {mc3, hm4, hm5} × six option sets × chaos seeds {1, 7} at each
+// algorithm's smaller fuzz size, against testdata/golden_chaos.json.  The
+// other chaos tests only check that runs complete and that a seed repeats
+// within one build; this one fails when any perturbation draw moves.
+// Regenerate (only when a chaos schedule change is intended and reviewed)
+// with
+//
+//	go test ./internal/harness -run TestGoldenChaosMatrix -update
+func TestGoldenChaosMatrix(t *testing.T) {
+	got := make(map[string]chaosCell)
+	for _, algo := range []string{"mm", "sort", "lr", "spmdv"} {
+		for _, machine := range []string{"mc3", "hm4", "hm5"} {
+			for _, set := range []string{"default", "steal", "flat", "q8", "failstop1", "faulty"} {
+				for _, seed := range []int64{1, 7} {
+					o := observeFailure(algo, machine, fuzzSizes[algo][0], set, seed)
+					got[fmt.Sprintf("%s/%s/%s/%d", algo, machine, set, seed)] = chaosCell{o.snap, o.err}
+				}
+			}
+		}
+	}
+	path := filepath.Join("testdata", "golden_chaos.json")
+	if *update {
+		buf, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d snapshots to %s", len(got), path)
+		return
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden snapshot %s (run with -update to create): %v", path, err)
+	}
+	want := map[string]chaosCell{}
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatalf("corrupt golden snapshot %s: %v", path, err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s: snapshot has %d entries, matrix has %d (run -update after reviewing)", path, len(want), len(got))
+	}
+	var keys []string
+	for k := range got {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if w, ok := want[k]; !ok {
+			t.Errorf("%s: no snapshot for %s (run -update after reviewing)", path, k)
+		} else if !reflect.DeepEqual(w, got[k]) {
+			t.Errorf("%s: chaos schedule drifted:\n  want %+v / %+v %q\n  got  %+v / %+v %q",
+				k, w.Metrics, w.Recovery, w.Err, got[k].Metrics, got[k].Recovery, got[k].Err)
 		}
 	}
 }
