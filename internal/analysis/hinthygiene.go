@@ -208,7 +208,7 @@ func (t *joinTracker) walkCases(body *ast.BlockStmt, joined bool) (joinedOut, te
 	return joined, false
 }
 
-// captureNewJoin recognizes `jn := e.newJoin()` and begins tracking jn.
+// captureNewJoin recognizes `jn := e.newJoin(...)` and begins tracking jn.
 func (t *joinTracker) captureNewJoin(s *ast.AssignStmt) bool {
 	if len(s.Lhs) != 1 || len(s.Rhs) != 1 {
 		return false

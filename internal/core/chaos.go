@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Chaos mode: a seeded, deterministic fault injector for the scheduler.
 // The paper's central claim is that the SB/CGC discipline stays correct for
@@ -8,24 +11,25 @@ import "fmt"
 // the *engine* stays correct under adversarial scheduling decisions (in the
 // spirit of Cole–Ramachandran's analysis of cache bounds under general
 // schedulers).  With WithChaos(seed) the engine perturbs, deterministically
-// per seed:
+// per seed, one decision per *chaos method:
 //
-//   - per-round core budgets (quantum jitter in [1, 2·quantum)),
-//   - solo batch grants (randomly suppressed, forcing lockstep),
-//   - admission timing (Q(λ) admissions deferred to the next round
-//     boundary, or the queue head rotated to the back),
-//   - anchor-placement tie-breaks (least-loaded core/slot ties broken
+//   - budget: per-round core budgets (quantum jitter in [1, 2·quantum)),
+//   - noBatch: solo batch grants (randomly suppressed, forcing lockstep),
+//   - hold: admission timing (Q(λ) admissions held to the next round
+//     boundary, where flush runs them and held counts them, or the queue
+//     head rotated to the back),
+//   - pick: placement tie-breaks (least-loaded core/slot ties broken
 //     randomly instead of lowest-index-first),
-//   - steal-victim choice (a random eligible victim instead of the most
-//     loaded).
+//   - victim: steal-victim choice (a random eligible victim instead of the
+//     most loaded).
 //
 // Every perturbation preserves the scheduler's semantics — tasks are still
-// placed least-loaded at the level the SB/CGC rules pick, deferred
-// admissions are flushed at the next round boundary — so any workload that
-// completes without chaos must complete under every seed, with the runtime
+// placed least-loaded at the level the SB/CGC rules pick, held admissions
+// are flushed at the next round boundary — so any workload that completes
+// without chaos must complete under every seed, with the runtime
 // invariants (enabled implicitly by WithChaos) holding after every round.
-// With chaos disabled the engine takes none of these branches and draws no
-// random numbers: chaos mode is strictly additive to the determinism
+// A nil *chaos is chaos off: each method returns the deterministic decision
+// and draws nothing, so chaos mode is strictly additive to the determinism
 // contract.
 
 // chaosRNG is splitmix64: tiny, seedable, and good enough for schedule
@@ -46,8 +50,7 @@ func (r *chaosRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 // chaos holds the injector state attached to an engine.
 type chaos struct {
 	rng      chaosRNG
-	deferred []*cacheSlot // admissions postponed to the next round boundary
-	scratch  []int        // candidate buffer for randomized tie-breaks
+	deferred []*cacheSlot // admission passes held to the next round boundary
 }
 
 func newChaos(seed int64) *chaos {
@@ -59,23 +62,88 @@ func newChaos(seed int64) *chaos {
 // coin returns true with probability 1/p.
 func (c *chaos) coin(p int) bool { return c.rng.intn(p) == 0 }
 
-// budget returns a jittered per-round core budget in [1, 2·quantum).
+// reset drops the held admission passes a failed run may have left.
+func (c *chaos) reset() {
+	if c != nil {
+		c.deferred = c.deferred[:0]
+	}
+}
+
+// budget returns a core's budget for the round: the quantum, jittered into
+// [1, 2·quantum) under chaos.
 func (c *chaos) budget(quantum int64) int64 {
+	if c == nil {
+		return quantum
+	}
 	return 1 + int64(c.rng.intn(int(2*quantum-1)))
 }
 
-// deferSlot postpones slot's admission pass to the next round boundary.
-func (c *chaos) deferSlot(slot *cacheSlot) {
-	for _, s := range c.deferred {
-		if s == slot {
-			return
-		}
+// noBatch reports whether a solo strand loses its batched grant, with
+// probability 1/2 under chaos.  runStrand asks only when the grant could
+// batch at all.
+func (c *chaos) noBatch() bool { return c != nil && c.coin(2) }
+
+// hold perturbs an admission pass at slot under chaos: with probability
+// 1/8 the pass is held to the next round boundary, reported as true;
+// otherwise, with probability 1/4, a queue of two or more rotates its head
+// to the back before the pass runs.  An empty queue draws nothing.
+func (c *chaos) hold(slot *cacheSlot) bool {
+	if c == nil || len(slot.queue) == 0 {
+		return false
 	}
-	c.deferred = append(c.deferred, slot)
+	if c.coin(8) {
+		if !slices.Contains(c.deferred, slot) {
+			c.deferred = append(c.deferred, slot)
+		}
+		return true
+	}
+	if len(slot.queue) > 1 && c.coin(4) {
+		head := slot.queue[0]
+		copy(slot.queue, slot.queue[1:])
+		slot.queue[len(slot.queue)-1] = head
+	}
+	return false
 }
 
-// pick returns a random element of the candidate buffer.
-func (c *chaos) pick(cands []int) int { return cands[c.rng.intn(len(cands))] }
+// flush runs the admission passes held at the previous round boundary.
+func (c *chaos) flush(e *engine) {
+	if c == nil || len(c.deferred) == 0 {
+		return
+	}
+	defs := c.deferred
+	c.deferred = c.deferred[:0]
+	for _, slot := range defs {
+		e.admitNow(slot)
+	}
+}
+
+// held counts the admission passes waiting for the next round boundary.
+func (c *chaos) held() int {
+	if c == nil {
+		return 0
+	}
+	return len(c.deferred)
+}
+
+// pick breaks a placement tie among cands, listed in ascending index: the
+// first under the deterministic order, a random one under chaos.  A lone
+// candidate draws nothing.
+func (c *chaos) pick(cands []int) int {
+	if c == nil || len(cands) < 2 {
+		return cands[0]
+	}
+	return cands[c.rng.intn(len(cands))]
+}
+
+// victim chooses the steal victim among the eligible cands: most, the most
+// loaded, by default; a random eligible one under chaos, drawn even for a
+// lone candidate.
+func (c *chaos) victim(cands []int, most int) int {
+	if c == nil || len(cands) == 0 {
+		return most
+	}
+	return cands[c.rng.intn(len(cands))]
+}
 
 // WithChaos enables the deterministic fault injector with the given seed on
 // a simulated session, and turns on the per-round invariant checker.  Two
@@ -83,10 +151,8 @@ func (c *chaos) pick(cands []int) int { return cands[c.rng.intn(len(cands))] }
 // schedules and metrics; different seeds explore different interleavings.
 func WithChaos(seed int64) Opt {
 	return func(s *Session) {
-		if s.eng != nil {
-			s.eng.chaos = newChaos(seed)
-			s.eng.verify = true
-		}
+		s.eng.chaos = newChaos(seed)
+		s.eng.verify = true
 	}
 }
 
@@ -98,11 +164,7 @@ func WithChaos(seed int64) Opt {
 // Violations surface as *InvariantError.  The checks are read-only:
 // enabling them cannot change a schedule.
 func WithInvariants() Opt {
-	return func(s *Session) {
-		if s.eng != nil {
-			s.eng.verify = true
-		}
-	}
+	return func(s *Session) { s.eng.verify = true }
 }
 
 // ---- per-round invariant checks ----
@@ -186,8 +248,8 @@ func (e *engine) checkRunEnd() error {
 	if e.qd != 0 {
 		return fail("no-lost-tasks", "run ended with %d tasks still queued", e.qd)
 	}
-	if e.chaos != nil && len(e.chaos.deferred) != 0 {
-		return fail("no-lost-tasks", "run ended with %d deferred admission passes", len(e.chaos.deferred))
+	if n := e.chaos.held(); n != 0 {
+		return fail("no-lost-tasks", "run ended with %d deferred admission passes", n)
 	}
 	for _, level := range e.slots {
 		for _, slot := range level {

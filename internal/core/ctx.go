@@ -97,7 +97,7 @@ func (c *Ctx) PFor(n, elemWords int, body func(cc *Ctx, lo, hi int)) {
 	// on B_1 block boundaries (arrays are B_1-aligned).
 	cs := (n + nchunks - 1) / nchunks
 	cs = (cs + grain - 1) / grain * grain
-	jn := e.newJoin()
+	jn := e.newJoin(c.st)
 	myChunk := -1
 	for j := 0; j*cs < n; j++ {
 		clo, chi := j*cs, (j+1)*cs
@@ -110,9 +110,8 @@ func (c *Ctx) PFor(n, elemWords int, body func(cc *Ctx, lo, hi int)) {
 			continue
 		}
 		c.st.charge(1)
-		clo2, chi2 := clo, chi
-		fn := func(cc *Ctx) { body(cc, clo2, chi2) }
-		e.forkChunk(target, jn, fn, int64(chi2-clo2)*int64(elemWords), c.st.recov)
+		fn := func(cc *Ctx) { body(cc, clo, chi) }
+		e.forkStrand(EvChunk, e.m.CacheOf(target, 1), target, jn, fn, int64(chi-clo)*int64(elemWords), "cgc-chunk")
 	}
 	if myChunk >= 0 {
 		clo, chi := myChunk*cs, (myChunk+1)*cs
@@ -195,10 +194,10 @@ func (c *Ctx) SpawnSB(tasks ...Task) {
 		}
 		return
 	}
-	jn := e.newJoin()
+	jn := e.newJoin(c.st)
 	for _, t := range tasks {
 		c.st.charge(1)
-		e.forkSB(lam, jn, t, c.st.recov)
+		e.forkSB(lam, jn, t)
 	}
 	c.waitJoin(jn)
 }
@@ -232,66 +231,41 @@ func (c *Ctx) SpawnCGCSB(space int64, m int, task func(cc *Ctx, idx int)) {
 		}
 		return
 	}
-	t := 1
-	i := 1
+	t, i := 1, 1
 	if !e.flat {
-		i = e.m.SmallestFit(space)
-		if i > lam.Level {
-			i = lam.Level
+		i = min(e.m.SmallestFit(space), lam.Level)
+		// λ alone is one level-λ cache, so the scan stops by lam.Level.
+		j := 1
+		for len(e.m.Under(lam, j)) > m {
+			j++
 		}
-		j := lam.Level
-		for lv := 1; lv <= lam.Level; lv++ {
-			if len(e.m.Under(lam, lv)) <= m {
-				j = lv
-				break
-			}
-		}
-		t = i
-		if j > t {
-			t = j
-		}
-		if t > lam.Level {
-			t = lam.Level
-		}
+		t = max(i, j)
 	}
-	jn := e.newJoin()
-	if !e.flat && t > i && m < len(e.m.Under(lam, i)) && i < lam.Level {
-		// Small fan-out (fewer subtasks than level-i caches): the paper's
-		// even-contiguous distribution at level t would pin recursive binary
-		// forks at λ forever.  This is the "generate a sufficient number of
-		// tasks through recursive forking" case (§III-C): place the few
-		// subtasks SB-style at the least-loaded level-i caches so the
-		// recursion descends the hierarchy and later forks find enough
-		// parallelism.
-		for idx := 0; idx < m; idx++ {
-			c.st.charge(1)
-			id := idx
-			fn := func(cc *Ctx) { task(cc, id) }
-			e.forkAt(e.leastLoadedSlot(lam, i), pending{space: space, jn: jn, fn: fn, label: "cgc-sb", recov: c.st.recov})
-		}
-		c.waitJoin(jn)
-		return
-	}
-	if t == lam.Level {
-		// All subtasks stay at λ: round-robin its cores, nested in the
-		// parent's reservation (see SpawnSB).
-		for idx := 0; idx < m; idx++ {
-			c.st.charge(1)
-			id := idx
-			fn := func(cc *Ctx) { task(cc, id) }
-			core := lam.CoreLo + idx%(lam.CoreHi-lam.CoreLo)
-			e.forkNested(lam, core, jn, fn, space, "cgc-sb", c.st.recov)
-		}
-		c.waitJoin(jn)
-		return
-	}
+	// Small fan-out (fewer subtasks than level-i caches): the paper's
+	// even-contiguous distribution at level t would pin recursive binary
+	// forks at λ forever.  This is the "generate a sufficient number of
+	// tasks through recursive forking" case (§III-C): place the few subtasks
+	// SB-style at the least-loaded level-i caches so the recursion descends
+	// the hierarchy and later forks find enough parallelism.  The flat
+	// scheduler never gets here, since it forces t = i = 1.
+	small := t > i && m < len(e.m.Under(lam, i)) && i < lam.Level
 	targets := e.m.Under(lam, t)
-	d := len(targets)
+	jn := e.newJoin(c.st)
 	for idx := 0; idx < m; idx++ {
 		c.st.charge(1)
 		id := idx
 		fn := func(cc *Ctx) { task(cc, id) }
-		e.forkAt(e.slotOf(targets[idx*d/m]), pending{space: space, jn: jn, fn: fn, label: "cgc-sb", recov: c.st.recov})
+		switch {
+		case small:
+			e.forkAt(e.leastLoadedSlot(lam, i), pending{space: space, jn: jn, fn: fn, label: "cgc-sb"})
+		case t == lam.Level:
+			// All subtasks stay at λ: round-robin its cores, nested in the
+			// parent's reservation (see SpawnSB).
+			core := lam.CoreLo + idx%(lam.CoreHi-lam.CoreLo)
+			e.forkStrand(EvNested, lam, core, jn, fn, space, "cgc-sb")
+		default:
+			e.forkAt(e.slotOf(targets[idx*len(targets)/m]), pending{space: space, jn: jn, fn: fn, label: "cgc-sb"})
+		}
 	}
 	c.waitJoin(jn)
 }

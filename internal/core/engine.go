@@ -1,6 +1,10 @@
 package core
 
-import "oblivhm/internal/hm"
+import (
+	"math"
+
+	"oblivhm/internal/hm"
+)
 
 // The simulated executor is a cooperative fork-join engine over the virtual
 // cores of an hm.Machine.  Exactly one strand (lightweight task) executes at
@@ -36,6 +40,16 @@ import "oblivhm/internal/hm"
 // withReference() turns off the batched grants so tests can cross-check the
 // fast path against the per-round lockstep schedule operation for
 // operation; pooling cannot affect the schedule.
+//
+// # Modes
+//
+// Each scheduling decision is made in one engine method: a core's round
+// budget (runCore), a solo strand's batched grant (runStrand), Q(λ)
+// admission (admit), and the tie-break of a placement or steal
+// (leastLoadedCore, leastLoadedSlot, stealFor).  The modes perturb only
+// those, through nil-safe methods in their own files: chaos.go randomises
+// them, failures.go kills and slows cores under them.  A nil *chaos or
+// *failInj is the mode off: the deterministic decision, no draw.
 
 type yieldKind int
 
@@ -75,17 +89,21 @@ type strand struct {
 	resSpace int64
 
 	// Failure-recovery state (failures.go).  recov tags a strand whose work
-	// is re-execution after a core death (replacements and their re-forked
-	// descendants), feeding the re-executed work fraction; waitingOn is the
-	// join the strand is parked on, so killStrand can orphan it.
+	// is re-execution after a core death: a replacement, or a child forked
+	// through a join of a tagged strand.  It feeds the re-executed work
+	// fraction.  waitingOn is the join the strand is parked on, so
+	// killStrand can orphan it.
 	recov     bool
 	waitingOn *join
 }
 
 // join is a fork-join counter: pending children plus the parked parent.
+// recov records that the forking parent is recovery-tagged, so newStrand
+// tags every child forked through the join.
 type join struct {
 	pending int
 	waiter  *strand
+	recov   bool
 }
 
 // cacheSlot carries the scheduler state attached to one cache: the space
@@ -106,7 +124,6 @@ type pending struct {
 	fn    func(*Ctx)
 	jn    *join
 	label string
-	recov bool // spawned by a recovery-tagged strand (failures.go)
 }
 
 // deque is a per-core run queue: strands leave at the front, join at the
@@ -203,18 +220,19 @@ type engine struct {
 	verify   bool      // WithInvariants / WithChaos: per-round invariant checks
 	blockedL []*strand // strands currently parked (joins), for forensics
 	prevMiss [][]int64 // per-slot miss counters at the last verified round
+	scratch  []int     // candidate buffer of the placement and steal scans
 
 	// Failure injection (failures.go).  fail is the seeded failure domain
-	// (nil unless WithFailures); watchdog is the round budget from
-	// WithWatchdog (0 = off) and wdClock its clock equivalent, computed at
-	// run start.
+	// (nil unless WithFailures); dead is the mask of dead cores, zero when
+	// failures are off; watchdog is the round budget from WithWatchdog
+	// (0 = off).
 	fail     *failInj
+	dead     uint64
 	watchdog int64
-	wdClock  int64
 }
 
 func newEngine(s *Session, m *hm.Machine) *engine {
-	e := &engine{s: s, m: m, quantum: 32}
+	e := &engine{s: s, m: m, quantum: 32, scratch: make([]int, 0, m.Cores())}
 	e.slots = make([][]*cacheSlot, len(m.ByLevel))
 	for i, level := range m.ByLevel {
 		e.slots[i] = make([]*cacheSlot, len(level))
@@ -230,14 +248,16 @@ func newEngine(s *Session, m *hm.Machine) *engine {
 func (e *engine) slotOf(c *hm.Cache) *cacheSlot { return e.slots[c.Level-1][c.Index] }
 
 // newJoin takes a join from the free list (joins churn at every fork site;
-// waitJoin recycles them once the last child has signalled).
-func (e *engine) newJoin() *join {
+// waitJoin recycles them once the last child has signalled) and records
+// whether the forking parent is recovery-tagged.
+func (e *engine) newJoin(parent *strand) *join {
 	if n := len(e.freeJoins); n > 0 {
 		jn := e.freeJoins[n-1]
 		e.freeJoins = e.freeJoins[:n-1]
+		jn.recov = parent.recov
 		return jn
 	}
-	return &join{}
+	return &join{recov: parent.recov}
 }
 
 func (e *engine) putJoin(jn *join) {
@@ -246,12 +266,13 @@ func (e *engine) putJoin(jn *join) {
 }
 
 // newStrand creates (but does not start) a strand pinned to core, reusing a
-// pooled strand (object and coroutine) when one is free.
+// pooled strand (object and coroutine) when one is free.  A child forked
+// through a join of a recovery-tagged strand is tagged and counted.
 func (e *engine) newStrand(core int, anchor *hm.Cache, jn *join, fn func(*Ctx), label string) *strand {
 	// Dead cores never receive new work: any placement that lands on one is
 	// redirected to the least-loaded survivor under the same anchor.  The
 	// anchor (and any reservation) stays put, exactly as under stealing.
-	if f := e.fail; f != nil && f.dead&(1<<uint(core)) != 0 {
+	if e.dead&(1<<uint(core)) != 0 {
 		core = e.redirectCore(anchor)
 	}
 	var st *strand
@@ -273,6 +294,9 @@ func (e *engine) newStrand(core int, anchor *hm.Cache, jn *join, fn func(*Ctx), 
 	}
 	st.label = label
 	st.blockIdx = -1
+	if jn != nil && jn.recov {
+		e.fail.tagRecov(st)
+	}
 	e.live++
 	e.load[core]++
 	return st
@@ -327,23 +351,15 @@ func (e *engine) pop(core int) *strand {
 // run executes root anchored at the smallest cache fitting space, returning
 // a typed error (*RunError, *DeadlockError, *InvariantError) on failure.
 func (e *engine) run(space int64, root func(*Ctx)) error {
-	e.clock = 0
-	e.failErr = nil
-	e.nrun = 0
+	e.clock, e.failErr, e.nrun, e.dead = 0, nil, 0, 0
 	for i := range e.runq {
 		e.runq[i] = deque{}
 	}
 	e.blockedL = e.blockedL[:0]
-	if e.chaos != nil {
-		e.chaos.deferred = e.chaos.deferred[:0]
+	e.chaos.reset()
+	if err := e.fail.derive(e.m); err != nil {
+		return err
 	}
-	if e.fail != nil {
-		if err := e.fail.plan.validate(); err != nil {
-			return err
-		}
-		e.fail.derive(e.m.Cores(), e.m)
-	}
-	e.wdClock = e.watchdog * e.quantum
 	if e.verify {
 		e.initInvariants()
 	}
@@ -383,23 +399,14 @@ func (e *engine) drain() {
 
 func (e *engine) loop() error {
 	for e.live > 0 || e.qd > 0 {
-		// Chaos: admissions deferred at the previous round boundary fire
-		// before the scan, so deferral perturbs timing without ever costing
-		// liveness (the flush bypasses the deferral coin).
-		if e.chaos != nil && len(e.chaos.deferred) > 0 {
-			defs := e.chaos.deferred
-			e.chaos.deferred = e.chaos.deferred[:0]
-			for _, slot := range defs {
-				e.admitNow(slot)
-			}
-		}
+		// Chaos: admissions held at the previous round boundary fire before
+		// the scan, so holding perturbs timing without ever costing liveness
+		// (the flush bypasses the hold coin).
+		e.chaos.flush(e)
 		// Failure events fire at round boundaries, before the scan: no strand
 		// is mid-grant, so every live strand is in a queue or parked and the
 		// recovery protocol sees a consistent scheduler state.
-		recovered := false
-		if e.fail != nil {
-			recovered = e.fireFailures()
-		}
+		recovered := e.fireFailures()
 		// Visit the cores in order.  A core with an empty run queue has
 		// nothing to run unless stealing is on, and is skipped without a
 		// turn (so it draws no chaos budget); each queue is read when its
@@ -407,7 +414,7 @@ func (e *engine) loop() error {
 		// order still run this round.
 		progressed := false
 		for c := range e.runq {
-			if !e.steal && e.runq[c].empty() || e.fail != nil && e.fail.dead&(1<<uint(c)) != 0 {
+			if !e.steal && e.runq[c].empty() || e.dead&(1<<uint(c)) != 0 {
 				continue
 			}
 			if e.runCore(c) {
@@ -418,20 +425,17 @@ func (e *engine) loop() error {
 		if e.failErr != nil {
 			return e.failErr
 		}
-		if e.watchdog > 0 && e.clock >= e.wdClock && (e.live > 0 || e.qd > 0) {
+		if e.watchdog > 0 && e.clock/e.quantum >= e.watchdog && (e.live > 0 || e.qd > 0) {
 			fr := e.forensics()
-			fe := &FailureError{
+			return &FailureError{
 				Kind:      "watchdog",
 				Clock:     e.clock,
 				Detail:    "round budget exhausted with work still live",
 				Forensics: &fr,
+				Recovery:  e.fail.report(e),
 			}
-			if e.fail != nil {
-				fe.Recovery = e.fail.report(e)
-			}
-			return fe
 		}
-		if !progressed && !recovered && (e.chaos == nil || len(e.chaos.deferred) == 0) {
+		if !progressed && !recovered && e.chaos.held() == 0 {
 			return &DeadlockError{Report: e.forensics()}
 		}
 		if e.verify {
@@ -483,13 +487,7 @@ func (e *engine) forensics() DeadlockReport {
 // runCore gives core c its turn in the current round: up to quantum
 // operations shared by the strands of its queue in order.
 func (e *engine) runCore(c int) bool {
-	budget := e.quantum
-	if e.chaos != nil {
-		budget = e.chaos.budget(e.quantum)
-	}
-	if e.fail != nil {
-		budget = e.fail.coreBudget(c, budget)
-	}
+	budget := e.fail.coreBudget(c, e.chaos.budget(e.quantum))
 	progressed := false
 	for budget > 0 {
 		st := e.pop(c)
@@ -513,20 +511,15 @@ func (e *engine) runStrand(st *strand, budget int64) int64 {
 	// Failures disable batching entirely: a locally committed batch would
 	// skip the round boundaries failure events fire at.  A no-op plan is
 	// still observably equivalent — batching never changes the schedule.
-	if e.nrun == 0 && !e.reference && e.fail == nil && (e.chaos == nil || !e.chaos.coin(2)) {
+	if e.nrun == 0 && !e.reference && e.fail == nil && !e.chaos.noBatch() {
 		rounds = batchRounds
-		if e.watchdog > 0 {
-			// Cap the batch at the watchdog horizon so a livelocked solo
-			// strand returns control to the loop in time to be killed.
-			// Observably equivalent: truncation is exactly what an enqueue
-			// would do, and runs finishing under budget never hit the cap.
-			rem := (e.wdClock-e.clock)/e.quantum + 1
-			if rem < 1 {
-				rem = 1
-			}
-			if rounds > rem {
-				rounds = rem
-			}
+		// Cap the batch at the watchdog horizon so a livelocked solo strand
+		// returns control to the loop in time to be killed.  Observably
+		// equivalent: truncation is exactly what an enqueue would do, and
+		// runs finishing under budget never hit the cap.  Counted in rounds,
+		// so no budget overflows the clock arithmetic.
+		if rem := e.watchdog - e.clock/e.quantum; e.watchdog > 0 && rem < rounds {
+			rounds = max(rem+1, 1)
 		}
 	}
 	e.batchAbort = false
@@ -554,13 +547,7 @@ func (e *engine) runStrand(st *strand, budget int64) int64 {
 		}
 		e.finish(st)
 	}
-	if f := e.fail; f != nil {
-		used := budget - leftover
-		f.rep.TotalOps += used
-		if st.recov {
-			f.rep.ReexecOps += used
-		}
-	}
+	e.fail.account(st, budget-leftover)
 	return leftover
 }
 
@@ -589,22 +576,13 @@ func (e *engine) finish(st *strand) {
 
 // admit starts queued tasks at slot while capacity allows (paper: multiple
 // tasks may be anchored simultaneously provided total space <= C_i).  Under
-// chaos the admission pass may be deferred to the next round boundary (the
-// loop flushes deferrals through admitNow, so nothing is ever lost) or the
+// chaos the admission pass may be held to the next round boundary (the loop
+// flushes held passes through admitNow, so nothing is ever lost) or the
 // queue head rotated to the back, perturbing admission order and timing.
 func (e *engine) admit(slot *cacheSlot) {
-	if e.chaos != nil && len(slot.queue) > 0 {
-		if e.chaos.coin(8) {
-			e.chaos.deferSlot(slot)
-			return
-		}
-		if len(slot.queue) > 1 && e.chaos.coin(4) {
-			head := slot.queue[0]
-			copy(slot.queue, slot.queue[1:])
-			slot.queue[len(slot.queue)-1] = head
-		}
+	if !e.chaos.hold(slot) {
+		e.admitNow(slot)
 	}
-	e.admitNow(slot)
 }
 
 // admitNow is the admission pass proper, free of chaos perturbation.
@@ -631,16 +609,20 @@ func (e *engine) startAnchored(slot *cacheSlot, p pending) {
 	st := e.newStrand(core, slot.cache, p.jn, p.fn, p.label)
 	st.reserved = slot
 	st.resSpace = p.space
-	e.markRecov(st, p.recov)
 	e.emit(EvAnchor, st.core, slot.cache.Level, slot.cache.Index, p.space)
 	e.enqueue(st)
 }
 
-// placeAnchored either starts task p at slot immediately (if it fits) or
-// queues it in Q(λ).
-func (e *engine) placeAnchored(slot *cacheSlot, p pending) {
-	capWords := slot.cache.Cap * slot.cache.Block
-	if len(slot.queue) == 0 && (slot.used+p.space <= capWords || slot.anchd == 0) {
+// ---- fork placement bodies ----
+//
+// The per-child placement of every fork path in ctx.go.  Each helper counts
+// its child on the join exactly once.
+
+// forkAt places an anchored child task at the given slot: it starts at once
+// if it fits, or queues in Q(λ).
+func (e *engine) forkAt(slot *cacheSlot, p pending) {
+	p.jn.pending++
+	if len(slot.queue) == 0 && (slot.used+p.space <= slot.cache.Cap*slot.cache.Block || slot.anchd == 0) {
 		e.startAnchored(slot, p)
 		return
 	}
@@ -649,134 +631,93 @@ func (e *engine) placeAnchored(slot *cacheSlot, p pending) {
 	e.emit(EvQueue, -1, slot.cache.Level, slot.cache.Index, p.space)
 }
 
-// ---- fork placement bodies ----
-//
-// The per-child placement of every fork path in ctx.go.  Each helper counts
-// its child on the join exactly once.
-
-// forkAt places an anchored child task at the given slot (or queues it in
-// Q(λ)).
-func (e *engine) forkAt(slot *cacheSlot, p pending) {
-	p.jn.pending++
-	e.placeAnchored(slot, p)
-}
-
-// forkNested creates a child strand nested in the parent's reservation at
-// lam, pinned to core, and enqueues it.
-func (e *engine) forkNested(lam *hm.Cache, core int, jn *join, fn func(*Ctx), space int64, lbl string, recov bool) {
+// forkStrand creates a child strand on core under anchor without a
+// reservation of its own and enqueues it, recording it as kind: a CGC
+// chunk on its core's L1 (EvChunk) or a task nested in its parent's
+// reservation (EvNested).
+func (e *engine) forkStrand(kind EventKind, anchor *hm.Cache, core int, jn *join, fn func(*Ctx), space int64, lbl string) {
 	jn.pending++
-	st := e.newStrand(core, lam, jn, fn, lbl)
-	e.markRecov(st, recov)
-	e.emit(EvNested, st.core, lam.Level, lam.Index, space)
+	st := e.newStrand(core, anchor, jn, fn, lbl)
+	e.emit(kind, st.core, anchor.Level, anchor.Index, space)
 	e.enqueue(st)
 }
 
 // forkSB is one SpawnSB child: anchored SB placement below lam, or nested at
 // lam when the task is too big for the next level down (see SpawnSB).
-func (e *engine) forkSB(lam *hm.Cache, jn *join, t Task, recov bool) {
+func (e *engine) forkSB(lam *hm.Cache, jn *join, t Task) {
 	lbl := t.Label
 	if lbl == "" {
 		lbl = "sb"
 	}
+	p := pending{space: t.Space, fn: t.Fn, jn: jn, label: lbl}
 	switch {
 	case e.flat:
 		// Ablation: ignore every level above 1 — spread over L1s.
-		e.forkAt(e.leastLoadedSlot(lam, 1), pending{space: t.Space, fn: t.Fn, jn: jn, label: lbl, recov: recov})
+		e.forkAt(e.leastLoadedSlot(lam, 1), p)
 	case t.Space <= e.m.Cfg.Levels[lam.Level-2].Capacity:
-		j := e.m.SmallestFit(t.Space)
-		e.forkAt(e.leastLoadedSlot(lam, j), pending{space: t.Space, fn: t.Fn, jn: jn, label: lbl, recov: recov})
+		e.forkAt(e.leastLoadedSlot(lam, e.m.SmallestFit(t.Space)), p)
 	default:
 		// Too big for the next level down: stays under λ.  The paper queues
 		// such tasks in Q(λ); since the forking parent itself holds λ's
 		// reservation until its children finish, we run them nested inside
 		// the parent's reservation (same shadow, no additional space) to
 		// keep the discipline deadlock-free.
-		e.forkNested(lam, e.leastLoadedCore(lam), jn, t.Fn, t.Space, lbl, recov)
+		e.forkStrand(EvNested, lam, e.leastLoadedCore(lam), jn, t.Fn, t.Space, lbl)
 	}
 }
 
-// forkChunk is one PFor chunk strand on its CGC target core.
-func (e *engine) forkChunk(target int, jn *join, fn func(*Ctx), words int64, recov bool) {
-	jn.pending++
-	st := e.newStrand(target, e.m.CacheOf(target, 1), jn, fn, "cgc-chunk")
-	e.markRecov(st, recov)
-	e.emit(EvChunk, st.core, 1, target, words)
-	e.enqueue(st)
+// idlest returns the live cores with the fewest live strands in the shadow
+// of c, in ascending core order, or nothing when the whole shadow is dead.
+// It is the one scan behind every core placement; the result is the
+// engine's scratch buffer, valid until the next scan.
+func (e *engine) idlest(c *hm.Cache) []int {
+	cands, least, dead := e.scratch[:0], math.MaxInt, e.dead
+	for i := c.CoreLo; i < c.CoreHi; i++ {
+		switch l := e.load[i]; {
+		case dead&(1<<uint(i)) != 0:
+		case l < least:
+			cands, least = append(cands[:0], i), l
+		case l == least:
+			cands = append(cands, i)
+		}
+	}
+	e.scratch = cands
+	return cands
 }
 
 // leastLoadedCore picks the core with the fewest live strands in the shadow
-// of cache.  The scan runs in ascending core index over [CoreLo, CoreHi) and
-// only a strictly smaller load displaces the running best, so ties resolve
-// to the lowest-indexed core.  This total order is part of the determinism
-// contract: placements depend on nothing but engine state.  Chaos breaks
-// the tie randomly instead — still among the least-loaded cores, so the
-// placement rule itself is preserved.
+// of cache, skipping dead cores.  Ties resolve to the lowest-indexed core.
+// This total order is part of the determinism contract: placements depend
+// on nothing but engine state.  Chaos breaks the tie randomly instead —
+// still among the least-loaded cores, so the placement rule itself is
+// preserved.  When the whole shadow is dead the pick falls back to CoreLo
+// and newStrand's redirect walks up the hierarchy to a survivor.
 func (e *engine) leastLoadedCore(c *hm.Cache) int {
-	// Dead cores are excluded from the scan.  When the whole shadow is dead
-	// the scan falls back to CoreLo and newStrand's redirect walks up the
-	// hierarchy to a survivor.
-	var dead uint64
-	if e.fail != nil {
-		dead = e.fail.dead
+	if cands := e.idlest(c); len(cands) > 0 {
+		return e.chaos.pick(cands)
 	}
-	best, bestLoad := c.CoreLo, int(^uint(0)>>1)
-	for i := c.CoreLo; i < c.CoreHi; i++ {
-		if dead&(1<<uint(i)) != 0 {
-			continue
-		}
-		if e.load[i] < bestLoad {
-			best, bestLoad = i, e.load[i]
-		}
-	}
-	if e.chaos != nil {
-		cands := e.chaos.scratch[:0]
-		for i := c.CoreLo; i < c.CoreHi; i++ {
-			if dead&(1<<uint(i)) != 0 {
-				continue
-			}
-			if e.load[i] == bestLoad {
-				cands = append(cands, i)
-			}
-		}
-		e.chaos.scratch = cands
-		if len(cands) > 1 {
-			best = e.chaos.pick(cands)
-		}
-	}
-	return best
+	return c.CoreLo
 }
 
 // leastLoadedSlot picks the cache slot minimising the load key
 // used+len(queue) — reserved words plus tasks waiting in Q(λ), not reserved
 // space alone — among the level-j caches under lambda.  Under yields those
-// caches in ascending index order and only a strictly smaller key displaces
-// the running best, so ties resolve to the lowest-indexed cache, the same
-// deterministic total order leastLoadedCore pins.  Under chaos the tie is
-// randomized among the slots sharing the minimal key.
+// caches in ascending index order, so ties resolve to the lowest-indexed
+// cache, the same deterministic total order leastLoadedCore pins.  Under
+// chaos the tie is randomized among the slots sharing the minimal key.
 func (e *engine) leastLoadedSlot(lambda *hm.Cache, j int) *cacheSlot {
-	under := e.m.Under(lambda, j)
-	var best *cacheSlot
-	for _, c := range under {
+	cands, least := e.scratch[:0], int64(math.MaxInt64)
+	for _, c := range e.m.Under(lambda, j) {
 		s := e.slotOf(c)
-		if best == nil || s.used+int64(len(s.queue)) < best.used+int64(len(best.queue)) {
-			best = s
+		switch k := s.used + int64(len(s.queue)); {
+		case k < least:
+			cands, least = append(cands[:0], c.Index), k
+		case k == least:
+			cands = append(cands, c.Index)
 		}
 	}
-	if e.chaos != nil && best != nil {
-		key := best.used + int64(len(best.queue))
-		cands := e.chaos.scratch[:0]
-		for _, c := range under {
-			s := e.slotOf(c)
-			if s.used+int64(len(s.queue)) == key {
-				cands = append(cands, c.Index)
-			}
-		}
-		e.chaos.scratch = cands
-		if len(cands) > 1 {
-			best = e.slots[j-1][e.chaos.pick(cands)]
-		}
-	}
-	return best
+	e.scratch = cands
+	return e.slots[j-1][e.chaos.pick(cands)]
 }
 
 // resume grants st budget operations plus rounds whole batch rounds and runs
@@ -879,27 +820,19 @@ func (s *Session) PlacedAt(level int) int {
 // discipline deadlock-free — re-anchoring a reservation-holding task
 // upward could let its own children queue behind its reservation.
 func (e *engine) stealFor(c int) *strand {
-	victim, best := -1, 1 // need at least 2 queued to be worth stealing
+	// Any core with at least two queued strands is a valid victim (chaos
+	// picks one of them at random); the most loaded one wins otherwise.
+	victim, most, cands := -1, 1, e.scratch[:0]
 	for v := range e.runq {
-		if e.runq[v].size() > best {
-			victim, best = v, e.runq[v].size()
-		}
-	}
-	if e.chaos != nil {
-		// Chaos: any core with at least two queued strands is a valid
-		// victim; pick one at random instead of the most loaded.
-		cands := e.chaos.scratch[:0]
-		for v := range e.runq {
-			if e.runq[v].size() > 1 {
-				cands = append(cands, v)
+		if n := e.runq[v].size(); n > 1 {
+			cands = append(cands, v)
+			if n > most {
+				victim, most = v, n
 			}
 		}
-		e.chaos.scratch = cands
-		if len(cands) > 0 {
-			victim = e.chaos.pick(cands)
-		}
 	}
-	if victim < 0 {
+	e.scratch = cands
+	if victim = e.chaos.victim(cands, victim); victim < 0 {
 		return nil
 	}
 	st := e.runq[victim].buf[len(e.runq[victim].buf)-1]
@@ -910,13 +843,19 @@ func (e *engine) stealFor(c int) *strand {
 	}
 	e.runq[victim].popBack()
 	e.nrun--
-	e.load[victim]--
-	e.load[c]++
-	st.core = c
-	st.ctx.core = c
 	e.steals++
-	e.emit(EvSteal, c, st.anchor.Level, st.anchor.Index, 0)
+	e.move(st, c, EvSteal)
 	return st
+}
+
+// move retargets an unstarted strand to core c, recording it as kind.  Only
+// the core changes: the anchor and any reservation stay put.  Stealing and
+// the migration off a dead core share it.
+func (e *engine) move(st *strand, c int, kind EventKind) {
+	e.load[st.core]--
+	e.load[c]++
+	st.core, st.ctx.core = c, c
+	e.emit(kind, c, st.anchor.Level, st.anchor.Index, 0)
 }
 
 // Steals reports how many strands were migrated by the stealing extension.
@@ -933,9 +872,5 @@ func (s *Session) Steals() int64 {
 // equivalence tests to prove the batched fast path honours the determinism
 // contract on arbitrary workloads.
 func withReference() Opt {
-	return func(s *Session) {
-		if s.eng != nil {
-			s.eng.reference = true
-		}
-	}
+	return func(s *Session) { s.eng.reference = true }
 }

@@ -102,9 +102,8 @@ func stuckRun(s *Session, m *hm.Machine) (RunStats, error) {
 		slot := e.slotOf(m.CacheOf(0, 1))
 		slot.used = slot.cache.Cap * slot.cache.Block // phantom reservation
 		slot.anchd = 1
-		jn := e.newJoin()
-		jn.pending = 1
-		e.placeAnchored(slot, pending{space: 1, jn: jn, fn: func(*Ctx) {}, label: "starveling"})
+		jn := e.newJoin(c.st)
+		e.forkAt(slot, pending{space: 1, jn: jn, fn: func(*Ctx) {}, label: "starveling"})
 		c.waitJoin(jn) // parks behind a task that can never be admitted
 	})
 }
@@ -179,9 +178,8 @@ func TestDeadlockStillPanicsThroughRun(t *testing.T) {
 		slot := e.slotOf(m.CacheOf(0, 1))
 		slot.used = slot.cache.Cap * slot.cache.Block
 		slot.anchd = 1
-		jn := e.newJoin()
-		jn.pending = 1
-		e.placeAnchored(slot, pending{space: 1, jn: jn, fn: func(*Ctx) {}})
+		jn := e.newJoin(c.st)
+		e.forkAt(slot, pending{space: 1, jn: jn, fn: func(*Ctx) {}})
 		c.waitJoin(jn)
 	})
 }

@@ -221,6 +221,49 @@ func TestLeastLoadedCoreTieBreak(t *testing.T) {
 	}
 }
 
+// TestPlacementAroundDeadCores pins core placement around dead cores, which
+// otherwise only whole failure runs reach: the scan skips dead cores, a
+// fully dead shadow falls back to CoreLo, redirectCore walks up to the
+// first ancestor shadow with a survivor and takes its lowest-indexed
+// least-loaded live core, and it draws nothing under chaos.
+func TestPlacementAroundDeadCores(t *testing.T) {
+	setup := func(opts ...Opt) (*engine, *hm.Cache) {
+		m := hm.MustMachine(hm.HM4(4, 4))
+		e := NewSim(m, opts...).eng
+		for i := range e.load {
+			e.load[i] = 3
+		}
+		return e, m.ByLevel[1][2] // covers cores [8, 12)
+	}
+	e, l2 := setup()
+	e.load[9], e.load[10], e.load[11] = 0, 1, 1
+	e.dead = 1 << 9
+	if got := e.leastLoadedCore(l2); got != 10 {
+		t.Errorf("least-loaded core 9 dead: picked %d, want 10 (lower of the live tie 10, 11)", got)
+	}
+	if got := e.redirectCore(l2); got != 10 {
+		t.Errorf("redirect with live cores in the shadow: picked %d, want 10", got)
+	}
+	e.dead = 0xf << 8
+	if got := e.leastLoadedCore(l2); got != l2.CoreLo {
+		t.Errorf("whole shadow dead: picked %d, want CoreLo %d", got, l2.CoreLo)
+	}
+	e.load[2], e.load[13] = 1, 1
+	if got := e.redirectCore(l2); got != 2 {
+		t.Errorf("whole shadow dead: redirect picked %d, want 2 (lowest of the top shadow's live tie 2, 13)", got)
+	}
+
+	c, l2c := setup(WithChaos(5))
+	c.dead, c.load[2], c.load[13] = 0xf<<8, 1, 1
+	before := c.chaos.rng.state
+	if got := c.redirectCore(l2c); got != 2 || c.chaos.rng.state != before {
+		t.Errorf("redirect under chaos: picked %d, RNG moved %v; want 2 and no draw", got, c.chaos.rng.state != before)
+	}
+	if c.leastLoadedCore(l2c.Parent()); c.chaos.rng.state == before {
+		t.Error("leastLoadedCore drew nothing on the same tie; the no-draw check above proves nothing")
+	}
+}
+
 // TestLeastLoadedSlotTieBreak pins the slot placement order: the key is
 // used+len(queue) (reserved words plus queued tasks), candidates come in
 // ascending cache index, and ties resolve to the lowest index — the order

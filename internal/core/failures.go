@@ -56,6 +56,7 @@ import (
 // locally committed batch would skip the round boundaries failure events
 // fire at); batching is observably equivalent to the per-round lockstep,
 // so a plan with no events reproduces the default metrics bit for bit.
+// Every failInj method is safe on a nil receiver, which is failures off.
 
 // FailurePlan declares what a seeded failure domain injects.  The zero
 // plan injects nothing (and still freezes the schedule: WithFailures with
@@ -119,30 +120,31 @@ type failInj struct {
 
 	events   []failEvent
 	next     int     // next unfired event index
-	round    int64   // loop rounds completed (failures disable batching, so rounds == iterations)
-	dead     uint64  // bitmask of dead cores
 	slow     []int64 // per-core budget divisor; 0/1 = full speed
-	fired    bool    // at least one event has fired
-	missBase []int64 // per-level total misses at the first event
+	missBase []int64 // per-level total misses at the first event, nil before it
 
 	rep RecoveryReport
 }
 
-// derive (re)computes the failure schedule for a run on a p-core machine.
-// Everything is drawn from a splitmix64 stream seeded by the failure seed —
-// the same generator chaos uses — so the schedule is a pure function of
-// (seed, plan, machine shape).
-func (f *failInj) derive(p int, m *hm.Machine) {
+// derive validates the plan and (re)computes the failure schedule for a run
+// on machine m.  Everything is drawn from a splitmix64 stream seeded by the
+// failure seed — the same generator chaos uses — so the schedule is a pure
+// function of (seed, plan, machine shape).
+func (f *failInj) derive(m *hm.Machine) error {
+	if f == nil {
+		return nil
+	}
+	if err := f.plan.validate(); err != nil {
+		return err
+	}
+	p := m.Cores()
 	f.rep = RecoveryReport{Seed: f.seed}
 	f.events = f.events[:0]
-	f.next, f.round, f.dead = 0, 0, 0
-	f.fired, f.missBase = false, nil
-	if f.slow == nil || len(f.slow) != p {
+	f.next, f.missBase = 0, nil
+	if len(f.slow) != p {
 		f.slow = make([]int64, p)
 	}
-	for i := range f.slow {
-		f.slow[i] = 0
-	}
+	clear(f.slow)
 	rng := chaosRNG{state: uint64(f.seed)}
 	rng.next() // decorrelate nearby seeds, as in newChaos
 
@@ -204,10 +206,14 @@ func (f *failInj) derive(p int, m *hm.Machine) {
 	// Stable sort: same-round events keep derivation order (kills before
 	// faults, earlier draws first), part of the frozen schedule.
 	sort.SliceStable(f.events, func(a, b int) bool { return f.events[a].round < f.events[b].round })
+	return nil
 }
 
 // coreBudget applies the straggler slowdown to a core's per-round budget.
 func (f *failInj) coreBudget(c int, budget int64) int64 {
+	if f == nil {
+		return budget
+	}
 	if s := f.slow[c]; s > 1 {
 		budget /= s
 		if budget < 1 {
@@ -217,18 +223,38 @@ func (f *failInj) coreBudget(c int, budget int64) int64 {
 	return budget
 }
 
+// account adds a grant's used operations to the work totals, and to the
+// re-executed work when st is recovery-tagged.
+func (f *failInj) account(st *strand, used int64) {
+	if f == nil {
+		return
+	}
+	f.rep.TotalOps += used
+	if st.recov {
+		f.rep.ReexecOps += used
+	}
+}
+
 // fireFailures fires every event scheduled at or before the current round,
 // reporting whether any action ran (a recovery round counts as progress for
 // the deadlock backstop: replacements and migrations re-arm the schedule).
-// Called at the top of every loop iteration while failures are enabled.
+// Called at the top of every loop iteration; the current round is the
+// 1-based count of loop iterations, exact because failures run lockstep.
 func (e *engine) fireFailures() bool {
 	f := e.fail
-	f.round++
+	if f == nil {
+		return false
+	}
+	round := e.clock/e.quantum + 1
 	acted, killed := false, false
-	for f.next < len(f.events) && f.events[f.next].round <= f.round {
+	for f.next < len(f.events) && f.events[f.next].round <= round {
 		ev := f.events[f.next]
 		f.next++
-		e.noteFirstFailure()
+		if f.missBase == nil {
+			// The first event stamps the baseline of the post-failure deltas.
+			f.rep.FirstFailureClock = e.clock
+			f.missBase = e.levelMisses()
+		}
 		switch ev.kind {
 		case fkKill:
 			e.killCore(ev.core)
@@ -247,23 +273,15 @@ func (e *engine) fireFailures() bool {
 	return acted
 }
 
-// noteFirstFailure stamps the clock and the per-level miss baseline at the
-// first fired event, from which the post-failure miss deltas are computed.
-func (e *engine) noteFirstFailure() {
-	f := e.fail
-	if f.fired {
-		return
-	}
-	f.fired = true
-	f.rep.FirstFailureClock = e.clock
-	f.missBase = make([]int64, len(e.slots))
+// levelMisses sums the miss counters of each cache level.
+func (e *engine) levelMisses() []int64 {
+	tot := make([]int64, len(e.slots))
 	for i, level := range e.slots {
-		var tot int64
 		for _, sl := range level {
-			tot += sl.cache.Stats.Misses
+			tot[i] += sl.cache.Stats.Misses
 		}
-		f.missBase[i] = tot
 	}
+	return tot
 }
 
 // killCore fail-stops core c: drain its run queue (migrating unstarted
@@ -271,10 +289,10 @@ func (e *engine) noteFirstFailure() {
 // so no placement ever targets it again.
 func (e *engine) killCore(c int) {
 	f := e.fail
-	if f.dead&(1<<uint(c)) != 0 {
+	if e.dead&(1<<uint(c)) != 0 {
 		return
 	}
-	f.dead |= 1 << uint(c)
+	e.dead |= 1 << uint(c)
 	f.rep.DeadCores = append(f.rep.DeadCores, c)
 	e.emit(EvCoreFail, c, 0, 0, 0)
 	for {
@@ -306,11 +324,7 @@ func (e *engine) killCore(c int) {
 // surviving core under its anchor.  Nothing ran yet, so only the core
 // changes — the same invariant the stealing extension relies on.
 func (e *engine) migrateStrand(st *strand) {
-	target := e.redirectCore(st.anchor)
-	e.load[st.core]--
-	e.load[target]++
-	st.core, st.ctx.core = target, target
-	e.emit(EvMigrate, target, st.anchor.Level, st.anchor.Index, 0)
+	e.move(st, e.redirectCore(st.anchor), EvMigrate)
 	e.enqueue(st)
 	e.fail.rep.MigratedStrands++
 }
@@ -361,44 +375,31 @@ func (e *engine) killStrand(st *strand) {
 	e.pool = append(e.pool, st)
 
 	// Replacement: same closure, same join, same reservation, surviving
-	// core.  A replacement of a replacement stays tagged recov.
-	target := e.redirectCore(anchor)
-	ns := e.newStrand(target, anchor, jn, fn, label)
+	// core.  newStrand already tagged it if the join is a recovery join;
+	// either way the replacement is counted once.
+	ns := e.newStrand(e.redirectCore(anchor), anchor, jn, fn, label)
 	ns.reserved, ns.resSpace = reserved, resSpace
-	ns.recov = true
-	f.rep.ReexecStrands++
+	f.tagRecov(ns)
 	e.emit(EvReexec, ns.core, anchor.Level, anchor.Index, resSpace)
 	e.enqueue(ns)
 }
 
-// markRecov propagates the re-execution tag to strands descending from a
-// replacement, so their operations count toward the re-executed work
-// fraction.  No-op when failures are off (recov is never set then).
-func (e *engine) markRecov(st *strand, parentRecov bool) {
-	if parentRecov && e.fail != nil {
+// tagRecov marks st as re-execution work, so its operations count toward
+// the re-executed work fraction, and counts it once.
+func (f *failInj) tagRecov(st *strand) {
+	if !st.recov {
 		st.recov = true
-		e.fail.rep.ReexecStrands++
+		f.rep.ReexecStrands++
 	}
 }
 
-// redirectCore picks the least-loaded surviving core under anchor, walking
-// up the cache hierarchy while the whole shadow is dead.  The scan order
-// (ascending core, strictly-smaller displaces) matches leastLoadedCore, so
-// redirected placement stays inside the frozen total order.
+// redirectCore picks the lowest-indexed least-loaded surviving core under
+// anchor, walking up the cache hierarchy while the whole shadow is dead.
+// It takes idlest's deterministic choice and draws nothing under chaos.
 func (e *engine) redirectCore(anchor *hm.Cache) int {
-	dead := e.fail.dead
 	for c := anchor; c != nil; c = c.Parent() {
-		best, bestLoad := -1, int(^uint(0)>>1)
-		for i := c.CoreLo; i < c.CoreHi; i++ {
-			if dead&(1<<uint(i)) != 0 {
-				continue
-			}
-			if e.load[i] < bestLoad {
-				best, bestLoad = i, e.load[i]
-			}
-		}
-		if best >= 0 {
-			return best
+		if cands := e.idlest(c); len(cands) > 0 {
+			return cands[0]
 		}
 	}
 	panic("core: no surviving core (kills are capped at p-1, so this is an engine bug)")
@@ -414,11 +415,7 @@ func (e *engine) redirectCore(anchor *hm.Cache) int {
 // recovery hot path runs entirely on the engine goroutine.  See
 // RunStats.Recovery for the degraded-mode report.
 func WithFailures(seed int64, plan FailurePlan) Opt {
-	return func(s *Session) {
-		if s.eng != nil {
-			s.eng.fail = &failInj{seed: seed, plan: plan}
-		}
-	}
+	return func(s *Session) { s.eng.fail = &failInj{seed: seed, plan: plan} }
 }
 
 // WithWatchdog bounds a run to the given number of virtual rounds: a run
@@ -426,13 +423,11 @@ func WithFailures(seed int64, plan FailurePlan) Opt {
 // errors.Is-matchable against ErrWatchdog) carrying the scheduler forensics
 // instead of hanging.  The watchdog is observation-only below the budget —
 // it cannot change a schedule — so metrics are untouched for any run that
-// finishes in time.  rounds <= 0 disables it.
+// finishes in time.  The budget is compared in rounds, never converted to a
+// clock value, so any size works: math.MaxInt64 is no limit.  rounds <= 0
+// disables it.
 func WithWatchdog(rounds int64) Opt {
-	return func(s *Session) {
-		if s.eng != nil {
-			s.eng.watchdog = rounds
-		}
-	}
+	return func(s *Session) { s.eng.watchdog = rounds }
 }
 
 // ---- the degraded-mode report ----
@@ -504,19 +499,18 @@ func (r *RecoveryReport) String() string {
 
 // report clones the run's recovery state into the externally visible
 // RecoveryReport, computing the post-failure miss deltas from the baseline
-// stamped at the first event.
+// stamped at the first event.  nil when failures are off.
 func (f *failInj) report(e *engine) *RecoveryReport {
+	if f == nil {
+		return nil
+	}
 	rep := f.rep
 	rep.DeadCores = append([]int(nil), f.rep.DeadCores...)
 	rep.StragglerCores = append([]int(nil), f.rep.StragglerCores...)
 	if f.missBase != nil {
-		rep.PostFailureMissDelta = make([]int64, len(e.slots))
-		for i, level := range e.slots {
-			var tot int64
-			for _, sl := range level {
-				tot += sl.cache.Stats.Misses
-			}
-			rep.PostFailureMissDelta[i] = tot - f.missBase[i]
+		rep.PostFailureMissDelta = e.levelMisses()
+		for i, b := range f.missBase {
+			rep.PostFailureMissDelta[i] -= b
 		}
 	}
 	return &rep

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -264,6 +265,36 @@ func TestWatchdogTurnsLivelockIntoError(t *testing.T) {
 	}
 	if !IsRunFailure(err) {
 		t.Fatal("FailureError not classified as run failure")
+	}
+}
+
+// TestWatchdogLargeBudgetNeverTrips: the budget is counted in rounds, so
+// one too large for a clock value (2^58 rounds of quantum 32 overflow an
+// int64) still means "no limit", and the run matches the unwatched one.
+func TestWatchdogLargeBudgetNeverTrips(t *testing.T) {
+	run := func(opts ...Opt) (RunStats, error) {
+		s := NewSim(hm.MustMachine(hm.MC3(4)), opts...)
+		a := s.AllocWords(64)
+		return s.TryRun(1<<10, func(c *Ctx) {
+			c.PFor(64, 1, func(cc *Ctx, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					cc.StoreU(a+Addr(i), uint64(i))
+				}
+			})
+		})
+	}
+	want, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{1 << 58, 1 << 59, math.MaxInt64} {
+		got, err := run(WithWatchdog(budget))
+		if err != nil {
+			t.Fatalf("WithWatchdog(%d): %v", budget, err)
+		}
+		if got.Steps != want.Steps {
+			t.Errorf("WithWatchdog(%d): %d steps, want %d", budget, got.Steps, want.Steps)
+		}
 	}
 }
 

@@ -46,7 +46,7 @@ type Session struct {
 // nm returns the native memory, which exists only in native sessions.
 func (s *Session) nm() *nativeMem { return s.nmem }
 
-// Opt configures a session.
+// Opt configures a simulated session; only NewSim applies options.
 type Opt func(*Session)
 
 // WithQuantum sets the virtual-time quantum (operations per core per
@@ -54,7 +54,7 @@ type Opt func(*Session)
 // more finely at higher simulation cost.  Default 32.
 func WithQuantum(q int64) Opt {
 	return func(s *Session) {
-		if s.eng != nil && q > 0 {
+		if q > 0 {
 			s.eng.quantum = q
 		}
 	}
@@ -66,11 +66,7 @@ func WithQuantum(q int64) Opt {
 // "proportionate slice" baseline of paper §II used by the scheduler
 // ablation experiment (E13).
 func WithFlatScheduler() Opt {
-	return func(s *Session) {
-		if s.eng != nil {
-			s.eng.flat = true
-		}
-	}
+	return func(s *Session) { s.eng.flat = true }
 }
 
 // WithParallel is the name of the removed cache-replay backend (DESIGN.md
@@ -152,11 +148,7 @@ func (s *Session) TryRun(space int64, root func(*Ctx)) (RunStats, error) {
 		return RunStats{}, err
 	}
 	s.mach.Steps = s.eng.clock
-	st := RunStats{Steps: s.eng.clock, Sim: s.mach.Stats()}
-	if s.eng.fail != nil {
-		st.Recovery = s.eng.fail.report(s.eng)
-	}
-	return st, nil
+	return RunStats{Steps: s.eng.clock, Sim: s.mach.Stats(), Recovery: s.eng.fail.report(s.eng)}, nil
 }
 
 // nativeRun executes root on the calling goroutine, recovering panics from
@@ -256,9 +248,5 @@ func (s *Session) String() string {
 // (cache reuse) for load balance, and the E13-style benchmarks let the two
 // be compared.
 func WithStealing() Opt {
-	return func(s *Session) {
-		if s.eng != nil {
-			s.eng.steal = true
-		}
-	}
+	return func(s *Session) { s.eng.steal = true }
 }

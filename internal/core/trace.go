@@ -49,11 +49,7 @@ type Trace struct {
 
 // WithTrace attaches tr to a simulated session.
 func WithTrace(tr *Trace) Opt {
-	return func(s *Session) {
-		if s.eng != nil {
-			s.eng.trace = tr
-		}
-	}
+	return func(s *Session) { s.eng.trace = tr }
 }
 
 func (e *engine) emit(kind EventKind, core, level, cache int, space int64) {

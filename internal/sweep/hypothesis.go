@@ -86,29 +86,27 @@ func seriesOver(sel Selector, m metricSel, rows []Row) (map[int]float64, []strin
 	return mean, keys, nil
 }
 
-// evalCrossover finds the smallest grid size at and above which the
-// baseline/subject metric ratio stays >= MinRatio — the point where the
-// subject schedule starts (and keeps) winning.  The hypothesis passes iff
-// that crossover exists and sits at or below AtOrBelowN (any crossover
-// passes when AtOrBelowN is 0).
-func evalCrossover(spec *Spec, h Hypothesis, rows []Row) Verdict {
-	v := Verdict{Name: h.Name, Kind: h.Kind}
+// pairedSeries is the common head of the hypotheses that compare a subject
+// series against a baseline: it parses the metric, averages both series
+// over the seed axis and returns the grid sizes both cover, ascending, with
+// v.Rows set to the supporting row keys.  On failure it returns no sizes
+// and v.Detail says why.
+func pairedSeries(spec *Spec, h Hypothesis, rows []Row, v *Verdict) (subj, base map[int]float64, sizes []int) {
 	m, err := parseMetric(h.Metric)
 	if err != nil {
 		v.Detail = err.Error()
-		return v
+		return nil, nil, nil
 	}
 	subj, subjKeys, err := seriesOver(h.Subject, m, rows)
 	if err != nil {
 		v.Detail = fmt.Sprintf("subject %s: %v", h.Subject, err)
-		return v
+		return nil, nil, nil
 	}
 	base, baseKeys, err := seriesOver(h.Baseline, m, rows)
 	if err != nil {
 		v.Detail = fmt.Sprintf("baseline %s: %v", h.Baseline, err)
-		return v
+		return nil, nil, nil
 	}
-	var sizes []int
 	for _, n := range spec.Sizes {
 		_, inS := subj[n]
 		_, inB := base[n]
@@ -118,9 +116,25 @@ func evalCrossover(spec *Spec, h Hypothesis, rows []Row) Verdict {
 	}
 	if len(sizes) == 0 {
 		v.Detail = fmt.Sprintf("no sizes with both subject (%s) and baseline (%s) rows", h.Subject, h.Baseline)
-		return v
+		return nil, nil, nil
 	}
 	sort.Ints(sizes)
+	v.Rows = append(subjKeys, baseKeys...)
+	sort.Strings(v.Rows)
+	return subj, base, sizes
+}
+
+// evalCrossover finds the smallest grid size at and above which the
+// baseline/subject metric ratio stays >= MinRatio — the point where the
+// subject schedule starts (and keeps) winning.  The hypothesis passes iff
+// that crossover exists and sits at or below AtOrBelowN (any crossover
+// passes when AtOrBelowN is 0).
+func evalCrossover(spec *Spec, h Hypothesis, rows []Row) Verdict {
+	v := Verdict{Name: h.Name, Kind: h.Kind}
+	subj, base, sizes := pairedSeries(spec, h, rows, &v)
+	if sizes == nil {
+		return v
+	}
 
 	ratio := func(n int) float64 {
 		s := subj[n]
@@ -142,8 +156,6 @@ func evalCrossover(spec *Spec, h Hypothesis, rows []Row) Verdict {
 	for _, n := range sizes {
 		parts = append(parts, fmt.Sprintf("n=%d %.2f", n, ratio(n)))
 	}
-	v.Rows = append(subjKeys, baseKeys...)
-	sort.Strings(v.Rows)
 	desc := fmt.Sprintf("%s baseline/subject on %s: %s", h.Metric, h.Subject, strings.Join(parts, ", "))
 	switch {
 	case crossover == 0:
@@ -166,36 +178,10 @@ func evalCrossover(spec *Spec, h Hypothesis, rows []Row) Verdict {
 // vacuous pass where the failure schedule never fired within the run.
 func evalSurvivability(spec *Spec, h Hypothesis, rows []Row) Verdict {
 	v := Verdict{Name: h.Name, Kind: h.Kind}
-	m, err := parseMetric(h.Metric)
-	if err != nil {
-		v.Detail = err.Error()
+	subj, base, sizes := pairedSeries(spec, h, rows, &v)
+	if sizes == nil {
 		return v
 	}
-	subj, subjKeys, err := seriesOver(h.Subject, m, rows)
-	if err != nil {
-		v.Detail = fmt.Sprintf("subject %s: %v", h.Subject, err)
-		return v
-	}
-	base, baseKeys, err := seriesOver(h.Baseline, m, rows)
-	if err != nil {
-		v.Detail = fmt.Sprintf("baseline %s: %v", h.Baseline, err)
-		return v
-	}
-	var sizes []int
-	for _, n := range spec.Sizes {
-		_, inS := subj[n]
-		_, inB := base[n]
-		if inS && inB {
-			sizes = append(sizes, n)
-		}
-	}
-	if len(sizes) == 0 {
-		v.Detail = fmt.Sprintf("no sizes with both subject (%s) and baseline (%s) rows", h.Subject, h.Baseline)
-		return v
-	}
-	sort.Ints(sizes)
-	v.Rows = append(subjKeys, baseKeys...)
-	sort.Strings(v.Rows)
 
 	worst, worstN := 0.0, 0
 	var parts []string
