@@ -91,11 +91,13 @@ examples:
 cover:
 	$(GO) test -cover ./internal/...
 
-# Race-check the engine, the golden-metrics layer and the sweep runner
-# (the packages with real concurrency: the native executor and the sweep
-# worker pool incl. the rebased cmd/tables).
+# Race-check the engine, the hm cache walk, the golden-metrics layer and
+# the sweep runner: the packages with real concurrency, which are the
+# native executor, the hm walker goroutine that applies a run's cache walk
+# beside the engine (internal/hm/walker.go), and the sweep worker pool incl.
+# the rebased cmd/tables.
 race:
-	$(GO) test -race ./internal/core/... ./internal/harness/... ./internal/sweep ./cmd/tables
+	$(GO) test -race ./internal/core/... ./internal/hm ./internal/harness/... ./internal/sweep ./cmd/tables
 
 # Failure-injection gate: the seeded kill/straggler/cache-fault suite and
 # the 16-seed failure sweep over the golden matrix under the race detector,

@@ -17,10 +17,12 @@ import (
 //     is the harness convention),
 //   - iteration over a map (order is randomized per run by the runtime),
 //   - sync.Map (iteration order and interleaving are unspecified),
-//   - go statements outside the sanctioned entry points — the native-mode
-//     executor, whose two sites carry //oblivcheck:allow annotations.
-//     Strands are runtime coroutines resumed by the engine, not goroutines
-//     it launches.
+//   - go statements outside the sanctioned sites, each of which carries an
+//     //oblivcheck:allow annotation: the native-mode executor's two, the
+//     sweep worker pool's, and the hm walker's, which applies a run's
+//     cache records in issue order, so no count depends on goroutine
+//     interleaving.  Strands are runtime coroutines resumed by the
+//     engine, not goroutines it launches.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "engine and algorithm code must stay deterministic: no wall clock, unseeded rand, map order, sync.Map, or unsanctioned goroutines",

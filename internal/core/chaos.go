@@ -170,8 +170,10 @@ func WithInvariants() Opt {
 // ---- per-round invariant checks ----
 
 // initInvariants snapshots the per-cache miss counters at the start of a
-// verified run (the monotonicity baseline).
+// verified run (the monotonicity baseline).  Like every engine read of the
+// counters it syncs the machine first, which ends the run's walker window.
 func (e *engine) initInvariants() {
+	e.m.Sync()
 	if e.prevMiss == nil {
 		e.prevMiss = make([][]int64, len(e.slots))
 		for i, level := range e.slots {
@@ -222,6 +224,7 @@ func (e *engine) checkInvariants() error {
 	if sumQ != e.qd {
 		return fail("no-lost-tasks", "cache queues hold %d tasks but qd=%d", sumQ, e.qd)
 	}
+	e.m.Sync()
 	for i, level := range e.slots {
 		for j, slot := range level {
 			if m := slot.cache.Stats.Misses; m < e.prevMiss[i][j] {

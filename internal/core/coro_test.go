@@ -9,14 +9,43 @@ import (
 )
 
 // TestRunsStopEveryStrand: a run stops the coroutine of every strand it
-// created — pooled, parked on a join, or queued mid-task — whether it
-// succeeds or fails, so repeated runs of each kind leave the goroutine count
-// at its baseline.
+// created — pooled, parked on a join, or queued mid-task — and its hm
+// walker, whether it succeeds or fails, so repeated runs of each kind leave
+// the goroutine count at its baseline.
 func TestRunsStopEveryStrand(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		run  func(t *testing.T)
 	}{
+		{"failing behind the walker", func(t *testing.T) {
+			// Every chunk stores 8192 words, eight hm batches in all,
+			// before the upper half panics, so the run's cache walk went to
+			// a walker, which drain must stop.  Two CPUs let it start on a
+			// one-CPU host too.  First in the list, so that a window another
+			// case failed to close cannot take its CPU.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+			const n = 1 << 16
+			s := NewSim(hm.MustMachine(hm.MC3(8)))
+			a := s.AllocWords(n)
+			_, err := s.TryRun(n, func(c *Ctx) {
+				c.PFor(n, 1, func(cc *Ctx, lo, hi int) {
+					for i := lo; i < hi; i++ {
+						cc.StoreU(a+Addr(i), uint64(i))
+					}
+					if lo >= n/2 {
+						panic("boom")
+					}
+					cc.Tick(1 << 12)
+				})
+			})
+			if !IsRunFailure(err) {
+				t.Fatalf("err = %v, want a run failure", err)
+			}
+			m := s.Machine()
+			if l1 := m.ByLevel[0][0].Stats; m.Stats().Accesses != n || m.ByLevel[0][0].Stats != l1 {
+				t.Fatal("the failed run left its cache walk unfinished")
+			}
+		}},
 		{"failing", func(t *testing.T) {
 			// The upper half's chunks panic in their first round while the
 			// root and the lower chunks are still mid-task.

@@ -360,10 +360,13 @@ func (e *engine) run(space int64, root func(*Ctx)) error {
 	if err := e.fail.derive(e.m); err != nil {
 		return err
 	}
+	// The run's cache walk may go to a walker goroutine from here on
+	// (hm/walker.go); drain closes the window on every exit.
+	e.m.Begin()
+	defer e.drain()
 	if e.verify {
 		e.initInvariants()
 	}
-	defer e.drain()
 	anchor := e.m.ByLevel[e.m.SmallestFit(space)-1][0]
 	slot := e.slotOf(anchor)
 	st := e.newStrand(anchor.CoreLo, anchor, nil, root, "root")
@@ -383,11 +386,13 @@ func (e *engine) run(space int64, root func(*Ctx)) error {
 	return nil
 }
 
-// drain stops the coroutine of every strand the run created.  Pooled
-// strands return from main; strands a failed run left parked or queued
-// unwind their task stacks first (suspend panics with killedStrand).
-// Nothing outlives the run.
+// drain closes the machine's window, so the cache walk is done and its
+// walker stopped, and stops the coroutine of every strand the run created.
+// Pooled strands return from main; strands a failed run left parked or
+// queued unwind their task stacks first (suspend panics with
+// killedStrand).  Nothing outlives the run.
 func (e *engine) drain() {
+	e.m.Sync()
 	for i, st := range e.strands {
 		st.stop()
 		e.strands[i] = nil

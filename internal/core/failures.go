@@ -273,8 +273,10 @@ func (e *engine) fireFailures() bool {
 	return acted
 }
 
-// levelMisses sums the miss counters of each cache level.
+// levelMisses sums the miss counters of each cache level, after syncing
+// the machine.
 func (e *engine) levelMisses() []int64 {
+	e.m.Sync()
 	tot := make([]int64, len(e.slots))
 	for i, level := range e.slots {
 		for _, sl := range level {

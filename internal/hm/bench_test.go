@@ -97,6 +97,21 @@ func BenchmarkMachineColdScanHM4(b *testing.B) {
 	}
 }
 
+// BenchmarkMachineColdScanHM4Walker: the cold scan of
+// BenchmarkMachineColdScanHM4 inside a Begin…Sync window, so its cache walk
+// runs on a walker goroutine when a second CPU is free.
+func BenchmarkMachineColdScanHM4Walker(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := MustMachine(HM4(4, 4))
+		const n = 1 << 20
+		a := m.Alloc(n)
+		m.Begin()
+		scanTurns(m, a, n)
+		m.Sync()
+	}
+}
+
 // scanTurns splits the n words at a into one contiguous chunk per core and
 // lets the cores take turns of 32 accesses each, a load and a store of 16
 // consecutive words of their own chunk, until every word has been read

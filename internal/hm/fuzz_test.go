@@ -13,8 +13,11 @@ package hm
 // per write a brute-force scan of every off-path cache at every level.
 // After every step each cache's CacheStats and Resident() must agree,
 // every load must return the last value stored, and after a growth every
-// value stored before it must still read back.  The seed corpus runs under
-// `go test ./...`; `make fuzz` fuzzes it.
+// value stored before it must still read back.  A twin Machine runs the
+// same stream inside Begin…Sync windows, beginning again after every
+// operation that syncs it, and must load the same words and end with the
+// same counters.  The seed corpus runs under `go test ./...`; `make fuzz`
+// fuzzes it.
 
 import (
 	"math/rand"
@@ -40,6 +43,8 @@ func FuzzMachine(f *testing.F) {
 			t.Fatalf("generated an invalid config %v: %v", cfg, err)
 		}
 		ref := newRefMachine(cfg)
+		tw := MustMachine(cfg) // the twin, walking behind its window
+		tw.Begin()
 		top := cfg.Levels[len(cfg.Levels)-1].Capacity
 		span := cfg.Levels[0].Capacity << uint(rng.Intn(3))
 		for span < top*4 && rng.Intn(2) == 0 {
@@ -48,6 +53,7 @@ func FuzzMachine(f *testing.F) {
 		// The stream addresses the regions' words as one range [0, total):
 		// offset w lies in regions[k] when starts[k] <= w < starts[k+1].
 		regions := []Addr{m.Alloc(span)}
+		tw.Alloc(span)
 		starts := []int64{0, span}
 		addr := func(w int64) Addr {
 			k := 0
@@ -73,6 +79,8 @@ func FuzzMachine(f *testing.F) {
 				gap := cfg.Levels[len(cfg.Levels)-1].Block << (13 + uint(rng.Intn(2)))
 				m.Alloc(gap)
 				regions = append(regions, m.Alloc(span))
+				tw.Alloc(gap)
+				tw.Alloc(span)
 				total += span
 				starts = append(starts, total)
 				hot[rng.Intn(len(hot))] = total - 1 - rng.Int63n(span)
@@ -84,9 +92,13 @@ func FuzzMachine(f *testing.F) {
 			case r == 0:
 				m.FlushCaches()
 				ref.flush()
+				tw.FlushCaches()
+				tw.Begin()
 			case r < 3:
 				m.ResetStats()
 				ref.resetStats()
+				tw.ResetStats()
+				tw.Begin()
 			case r < 6:
 				level := 1 + rng.Intn(len(cfg.Levels))
 				index := rng.Intn(len(m.ByLevel[level-1]))
@@ -94,6 +106,10 @@ func FuzzMachine(f *testing.F) {
 				if want := ref.fault(level, index); got != want {
 					t.Fatalf("step %d: fault at L%d[%d] dropped %d blocks, model held %d", step, level, index, got, want)
 				}
+				if twin := tw.InjectCacheFault(level, index); twin != got {
+					t.Fatalf("step %d: fault at L%d[%d] dropped %d blocks, the twin %d", step, level, index, got, twin)
+				}
+				tw.Begin()
 			default:
 				if rng.Intn(4) == 0 {
 					core = rng.Intn(m.Cores())
@@ -112,16 +128,32 @@ func FuzzMachine(f *testing.F) {
 				if rng.Intn(3) == 0 {
 					v := rng.Uint64()
 					m.Store(core, a, v)
+					tw.Store(core, a, v)
 					mem[a] = v
 					ref.access(core, a, true)
 				} else {
 					if got := m.Load(core, a); got != mem[a] {
 						t.Fatalf("step %d: core %d load %d = %d, want %d", step, core, a, got, mem[a])
 					}
+					if got := tw.Load(core, a); got != mem[a] {
+						t.Fatalf("step %d: the twin's core %d load %d = %d, want %d", step, core, a, got, mem[a])
+					}
 					ref.access(core, a, false)
 				}
 			}
 			ref.check(t, m, step)
+		}
+		tw.Sync()
+		if tw.Accesses != m.Accesses {
+			t.Fatalf("accesses = %d, the twin %d", m.Accesses, tw.Accesses)
+		}
+		for i, level := range m.ByLevel {
+			for j, c := range level {
+				if twin := tw.ByLevel[i][j]; twin.Stats != c.Stats || twin.Resident() != c.Resident() {
+					t.Fatalf("L%d[%d]: stats %+v (%d resident), the twin %+v (%d resident)",
+						i+1, j, c.Stats, c.Resident(), twin.Stats, twin.Resident())
+				}
+			}
 		}
 		for i, level := range ref.levels {
 			for j, c := range level {

@@ -248,7 +248,8 @@ func TestColdRunsAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestMemoryContracts pins Peek, Poke and Load at and past the heap.
+// TestMemoryContracts pins Peek, Poke and Load at and past the heap, and
+// below it.
 func TestMemoryContracts(t *testing.T) {
 	const far = 3*memPageWords + 5 // past the heap, with an untouched page between
 	cases := []struct {
@@ -291,6 +292,20 @@ func TestMemoryContracts(t *testing.T) {
 				}
 			}()
 			m.Load(0, top)
+		}},
+		{"peek of a negative address reads 0", func(t *testing.T, m *Machine, a Addr) {
+			if got := m.Peek(-1); got != 0 {
+				t.Fatalf("Peek(-1) = %d, want 0", got)
+			}
+		}},
+		{"poke of a negative address panics", func(t *testing.T, m *Machine, a Addr) {
+			defer func() {
+				e, ok := recover().(*AddressError)
+				if !ok || e.Addr != -1 || !e.Write || e.Heap != m.HeapWords() {
+					t.Fatalf("recovered %v, want a store *AddressError at -1", e)
+				}
+			}()
+			m.Poke(-1, 1)
 		}},
 	}
 	for _, tc := range cases {
