@@ -21,6 +21,9 @@ type Cache struct {
 	// shadow: cores [CoreLo, CoreHi).
 	CoreLo, CoreHi int
 
+	// Stats is current outside a Begin…Sync window of its machine and
+	// after Machine.Stats or Machine.Sync; inside a window it lags the
+	// accesses the walker has not applied yet.
 	Stats CacheStats
 
 	// LRU bookkeeping: slot-indexed doubly linked lists (one per set) plus

@@ -4,7 +4,8 @@
 // hypotheses — machine-checkable predictions over the measured metrics.
 // The runner expands the grid, fans the runs out across worker goroutines
 // (each run is an independent deterministic simulation, so the fan-out is
-// embarrassingly parallel; it is the module's only host parallelism), and
+// embarrassingly parallel; within a run only the hm cache walk may take a
+// further CPU, and only one no worker is using), and
 // streams rows to JSONL/CSV in grid order regardless of worker count: the
 // engine's determinism contract (same config + seed → byte-identical
 // metrics) extends to the sweep layer byte for byte.
