@@ -1,3 +1,5 @@
+//go:debug gotypesalias=1
+
 // Command oblivcheck is the repository's vettool: it runs the four
 // static analyzers of internal/analysis (oblivious, determinism,
 // hinthygiene, dataoblivious) over every package, enforcing the paper's
@@ -15,7 +17,9 @@
 // Go sources and the export-data files of every dependency; the tool
 // type-checks the unit via go/importer, runs the analyzers, prints
 // findings as file:line:col diagnostics, and exits 2 if any survive the
-// //oblivcheck:allow annotations.
+// //oblivcheck:allow annotations.  It sees an alias such as
+// core.Addr = hm.Addr as a *types.Alias, the go/types default from go 1.23
+// on, whatever go version the module declares (the go:debug line above).
 package main
 
 import (

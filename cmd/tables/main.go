@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"oblivhm/internal/gep"
 	"oblivhm/internal/harness"
@@ -160,7 +161,7 @@ func assocAblation(w io.Writer, quick bool, workers int) {
 		for j := range ideal.Levels {
 			a, b := ideal.Levels[j], assoc.Levels[j]
 			fmt.Fprintf(w, "  L%d: ideal=%-10d 8way=%-10d 8way/ideal=%.2f\n",
-				a.Level, a.MaxMisses, b.MaxMisses, float64(b.MaxMisses)/float64(maxI64(a.MaxMisses, 1)))
+				a.Level, a.MaxMisses, b.MaxMisses, float64(b.MaxMisses)/float64(max(a.MaxMisses, 1)))
 		}
 	}
 }
@@ -234,7 +235,7 @@ func tableIIMO(w io.Writer, quick bool, workers int) {
 				fmt.Fprintln(w, "  error:", r.Err)
 				continue
 			}
-			fmt.Fprint(w, indent(r.Result().String()))
+			fmt.Fprintf(w, "  %s\n", strings.ReplaceAll(strings.TrimSuffix(r.Result().String(), "\n"), "\n", "\n  "))
 		}
 	}
 }
@@ -297,7 +298,7 @@ func ablation(w io.Writer, quick bool, workers int) {
 		for j := range sb.Levels {
 			f := flat.Levels[j]
 			s := sb.Levels[j]
-			ratio := float64(f.MaxMisses) / float64(maxI64(s.MaxMisses, 1))
+			ratio := float64(f.MaxMisses) / float64(max(s.MaxMisses, 1))
 			fmt.Fprintf(w, "  L%d: SB=%-10d flat=%-10d flat/SB=%.2f\n", s.Level, s.MaxMisses, f.MaxMisses, ratio)
 		}
 	}
@@ -341,34 +342,4 @@ func firstErr(rows ...sweep.Row) string {
 		}
 	}
 	return ""
-}
-
-func indent(s string) string {
-	out := ""
-	for _, line := range splitLines(s) {
-		out += "  " + line + "\n"
-	}
-	return out
-}
-
-func splitLines(s string) []string {
-	var lines []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			lines = append(lines, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		lines = append(lines, s[start:])
-	}
-	return lines
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

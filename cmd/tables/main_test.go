@@ -10,6 +10,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"oblivhm/internal/core"
@@ -39,7 +40,7 @@ func refTableIIMO(w *bytes.Buffer) {
 					fmt.Fprintln(w, "  error:", err)
 					continue
 				}
-				fmt.Fprint(w, indent(res.String()))
+				fmt.Fprintf(w, "  %s\n", strings.ReplaceAll(strings.TrimSuffix(res.String(), "\n"), "\n", "\n  "))
 			}
 		}
 	}
@@ -64,7 +65,7 @@ func sweepTableIIMO(w *bytes.Buffer, workers int, t *testing.T) {
 				fmt.Fprintln(w, "  error:", r.Err)
 				continue
 			}
-			fmt.Fprint(w, indent(r.Result().String()))
+			fmt.Fprintf(w, "  %s\n", strings.ReplaceAll(strings.TrimSuffix(r.Result().String(), "\n"), "\n", "\n  "))
 		}
 	}
 }
@@ -102,7 +103,7 @@ func refAblation(w *bytes.Buffer, t *testing.T) {
 		for i := range sb.Levels {
 			f := flat.Levels[i]
 			s := sb.Levels[i]
-			ratio := float64(f.MaxMisses) / float64(maxI64(s.MaxMisses, 1))
+			ratio := float64(f.MaxMisses) / float64(max(s.MaxMisses, 1))
 			fmt.Fprintf(w, "  L%d: SB=%-10d flat=%-10d flat/SB=%.2f\n", s.Level, s.MaxMisses, f.MaxMisses, ratio)
 		}
 	}
@@ -138,7 +139,7 @@ func refAssocAblation(w *bytes.Buffer, t *testing.T) {
 		for i := range ideal.Levels {
 			a, b := ideal.Levels[i], assoc.Levels[i]
 			fmt.Fprintf(w, "  L%d: ideal=%-10d 8way=%-10d 8way/ideal=%.2f\n",
-				a.Level, a.MaxMisses, b.MaxMisses, float64(b.MaxMisses)/float64(maxI64(a.MaxMisses, 1)))
+				a.Level, a.MaxMisses, b.MaxMisses, float64(b.MaxMisses)/float64(max(a.MaxMisses, 1)))
 		}
 	}
 }

@@ -286,11 +286,13 @@ func eachSourceFile(p *Pass, fn func(f *ast.File)) {
 	}
 }
 
-// namedFrom reports whether t (after unwrapping pointers) is the named type
-// pkgSuffix.name, matching the package by import-path suffix so testdata
-// fixtures exercise the same code path as the real tree.
+// namedFrom reports whether t (after unwrapping aliases and pointers) is
+// the named type pkgSuffix.name, matching the package by import-path suffix
+// so testdata fixtures exercise the same code path as the real tree.  An
+// alias such as core.Addr = hm.Addr matches the type it names.
 func namedFrom(t types.Type, pkgSuffix, name string) bool {
 	for {
+		t = types.Unalias(t)
 		ptr, ok := t.(*types.Pointer)
 		if !ok {
 			break

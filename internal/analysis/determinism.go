@@ -16,6 +16,9 @@ import (
 //     an explicitly seeded rand.New(rand.NewSource(k)) stream is fine and
 //     is the harness convention),
 //   - iteration over a map (order is randomized per run by the runtime),
+//     directly or through the maps.Keys, maps.Values and maps.All
+//     iterators, unless the iterator goes straight into slices.Sorted or
+//     slices.SortedFunc,
 //   - sync.Map (iteration order and interleaving are unspecified),
 //   - go statements outside the sanctioned sites, each of which carries an
 //     //oblivcheck:allow annotation: the native-mode executor's two, the
@@ -37,6 +40,10 @@ var wallClockFuncs = map[string]bool{
 	"NewTimer": true, "NewTicker": true,
 }
 
+// mapIterFuncs are the maps package functions that iterate a map in its
+// randomized order.
+var mapIterFuncs = map[string]bool{"Keys": true, "Values": true, "All": true}
+
 // seededRandFuncs are the math/rand package-level functions that construct
 // explicit generators rather than drawing from the global source.
 var seededRandFuncs = map[string]bool{
@@ -50,10 +57,14 @@ func runDeterminism(pass *Pass) {
 		return
 	}
 	eachSourceFile(pass, func(f *ast.File) {
+		// sorted holds the map iterator calls passed straight to
+		// slices.Sorted or slices.SortedFunc; Inspect visits a call before
+		// its arguments, so the mark is in place when the iterator is met.
+		sorted := map[*ast.CallExpr]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				checkDeterministicCall(pass, n)
+				checkDeterministicCall(pass, n, sorted)
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(),
 					"go statement outside the sanctioned native entry points: engine scheduling must not depend on runtime goroutine interleaving")
@@ -75,7 +86,7 @@ func runDeterminism(pass *Pass) {
 	})
 }
 
-func checkDeterministicCall(pass *Pass, call *ast.CallExpr) {
+func checkDeterministicCall(pass *Pass, call *ast.CallExpr, sorted map[*ast.CallExpr]bool) {
 	fn := funcObj(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
@@ -95,6 +106,17 @@ func checkDeterministicCall(pass *Pass, call *ast.CallExpr) {
 		if !seededRandFuncs[fn.Name()] {
 			pass.Reportf(call.Pos(),
 				"%s.%s draws from the global unseeded source: thread an explicit rand.New(rand.NewSource(seed)) stream instead (see internal/core/chaos.go for the engine-side convention)", fn.Pkg().Name(), fn.Name())
+		}
+	case "slices":
+		if fn.Name() == "Sorted" || fn.Name() == "SortedFunc" {
+			if arg, ok := ast.Unparen(call.Args[0]).(*ast.CallExpr); ok {
+				sorted[arg] = true
+			}
+		}
+	case "maps":
+		if mapIterFuncs[fn.Name()] && !sorted[call] {
+			pass.Reportf(call.Pos(),
+				"maps.%s iterates a map: order is randomized per run; pass it straight to slices.Sorted or slices.SortedFunc", fn.Name())
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package core
 
-// Addr is a simulated machine address.
-type Addr int64
+import "oblivhm/internal/hm"
+
+// Addr is a simulated machine address: an alias of hm.Addr, as in the real
+// tree, so the dataoblivious fixtures see the alias go/types reports.
+type Addr = hm.Addr
 
 // I64 is a handle over a simulated int64 array: N and Base are shape, the
 // elements live in simulated memory behind At/Set.

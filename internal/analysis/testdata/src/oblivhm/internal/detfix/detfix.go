@@ -1,10 +1,13 @@
 // Package detfix exercises the determinism analyzer: wall-clock reads,
-// unseeded randomness, map iteration, sync.Map, and goroutine spawns, with
-// seeded/annotated counterparts that must stay silent.
+// unseeded randomness, map iteration (direct or through the maps
+// iterators), sync.Map, and goroutine spawns, with seeded, sorted and
+// annotated counterparts that must stay silent.
 package detfix
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 )
@@ -59,4 +62,34 @@ func SortedKeys(m map[string]int) []string {
 		ks = append(ks, k)
 	}
 	return ks
+}
+
+// MapIterOrder ranges over a map's keys through an iterator.
+func MapIterOrder(m map[string]int) []string {
+	var ks []string
+	for k := range maps.Keys(m) { // want `maps\.Keys iterates a map`
+		ks = append(ks, k)
+	}
+	return ks
+}
+
+// MapIterUnsorted collects values and counts pairs in map order: neither
+// iterator goes into a sort.
+func MapIterUnsorted(m map[string]int) ([]int, int) {
+	n := 0
+	for range maps.All(m) { // want `maps\.All iterates a map`
+		n++
+	}
+	return slices.Collect(maps.Values(m)), n // want `maps\.Values iterates a map`
+}
+
+// SortedMapKeys hands the iterator straight to slices.Sorted: the sorted
+// listing needs no annotation.
+func SortedMapKeys(m map[string]int) []string {
+	return slices.Sorted(maps.Keys(m))
+}
+
+// SortedMapValues sorts through slices.SortedFunc.
+func SortedMapValues(m map[string]int) []int {
+	return slices.SortedFunc(maps.Values(m), func(a, b int) int { return a - b })
 }

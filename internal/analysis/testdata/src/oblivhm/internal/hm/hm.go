@@ -2,6 +2,9 @@
 // for the oblivious analyzer fixtures to type-check.
 package hm
 
+// Addr is a word address in the machine's shared memory.
+type Addr int64
+
 // Config is a machine description an algorithm must never see.
 type Config struct {
 	Name string

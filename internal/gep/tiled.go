@@ -50,10 +50,3 @@ func NaiveMatMul(c *core.Ctx, C, A, B core.Mat) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

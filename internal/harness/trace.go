@@ -48,7 +48,7 @@ func TraceMO(algo, machine string, n int, seed int64) (TraceResult, error) {
 	}
 	s := core.NewSim(m)
 	m.StartTrace()
-	_, _, err = runWorkloadChecked(s, algo, n, seed)
+	_, _, err = runWorkload(s, algo, n, seed)
 	d := m.EndTrace()
 	if err != nil {
 		return TraceResult{}, err

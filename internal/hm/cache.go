@@ -2,10 +2,11 @@ package hm
 
 // Cache is one cache in the hierarchy.  The HM model does not constrain
 // associativity and the cache-oblivious literature assumes ideal (fully
-// associative LRU) caches; that is the default here (Ways = 0).  A positive
-// Ways value makes the cache set-associative with LRU within each set — an
-// extension knob for studying how far the ideal-cache assumption carries
-// (see the associativity tests and the ablation benchmarks).
+// associative LRU) caches; that is the default here (Ways = 0, or Ways at
+// least Cap).  A smaller Ways, a power of two, makes the cache
+// set-associative with LRU within each set — an extension knob for
+// studying how far the ideal-cache assumption carries (see the
+// associativity tests and the ablation benchmarks).
 //
 // Cache state is a set of resident block ids; block id b at a level with
 // block size B covers word addresses [b*B, (b+1)*B).
@@ -14,7 +15,7 @@ type Cache struct {
 	Index int // index among the q_i caches of this level, left to right
 	Block int64
 	Cap   int64 // capacity in blocks
-	Ways  int   // 0 = fully associative; else blocks per set
+	Ways  int   // blocks per set, a power of two; 0 or >= Cap = fully associative
 
 	parent *Cache // nil at the topmost cache level
 	// CoreLo/CoreHi delimit the contiguous range of cores in this cache's
@@ -38,8 +39,7 @@ type Cache struct {
 	head    []int32 // per-set most recently used
 	tail    []int32 // per-set least recently used
 	free    []int32 // per-set free-slot list head, chained through next
-	nsets   int64
-	setMask int64 // nsets-1 when nsets is a power of two, else -1
+	setMask int64   // number of sets - 1: Cap and ways are powers of two
 	ways    int64
 
 	// Timestamp LRU (small sets): recency is a per-slot stamp and the
@@ -139,11 +139,8 @@ func (c *Cache) init() {
 	if c.ways <= 0 || c.ways > c.Cap {
 		c.ways = c.Cap
 	}
-	c.nsets = c.Cap / c.ways
-	c.setMask = -1
-	if c.nsets&(c.nsets-1) == 0 {
-		c.setMask = c.nsets - 1
-	}
+	nsets := c.Cap / c.ways
+	c.setMask = nsets - 1
 	// Arrays are retained across Flush (see there) and reused when the
 	// geometry is unchanged, so repeated cold runs allocate nothing; Flush
 	// has already cleared the index pages.
@@ -158,9 +155,9 @@ func (c *Cache) init() {
 		// Reused stamps stay monotonic (tick is not reset), so stale
 		// values can never shadow fresh ones.
 		c.vcap = min(c.ways, victimBuf)
-		if int64(len(c.vnext)) != c.nsets || int64(len(c.victims)) != c.nsets*c.vcap {
-			c.victims = make([]victim, c.nsets*c.vcap)
-			c.vnext = make([]int32, c.nsets)
+		if int64(len(c.vnext)) != nsets || int64(len(c.victims)) != nsets*c.vcap {
+			c.victims = make([]victim, nsets*c.vcap)
+			c.vnext = make([]int32, nsets)
 		}
 		for s := range c.vnext {
 			c.vnext[s] = int32(c.vcap) // empty: the first eviction scans
@@ -168,12 +165,12 @@ func (c *Cache) init() {
 	} else {
 		c.stamp = nil
 	}
-	if int64(len(c.head)) != c.nsets {
-		c.head = make([]int32, c.nsets)
-		c.tail = make([]int32, c.nsets)
-		c.free = make([]int32, c.nsets)
+	if int64(len(c.head)) != nsets {
+		c.head = make([]int32, nsets)
+		c.tail = make([]int32, nsets)
+		c.free = make([]int32, nsets)
 	}
-	for s := int64(0); s < c.nsets; s++ {
+	for s := int64(0); s < nsets; s++ {
 		lo, hi := s*c.ways, (s+1)*c.ways
 		for i := lo; i < hi; i++ {
 			c.slots[i].prev = nilSlot
@@ -188,12 +185,7 @@ func (c *Cache) init() {
 }
 
 // setOf maps a block id to its set.
-func (c *Cache) setOf(b int64) int64 {
-	if c.setMask >= 0 {
-		return b & c.setMask
-	}
-	return b % c.nsets
-}
+func (c *Cache) setOf(b int64) int64 { return b & c.setMask }
 
 // lookup returns the slot holding block b, or nilSlot.  It stays small
 // enough to inline into the L1 hit path of Machine.Load and Machine.Store.
@@ -241,29 +233,37 @@ func (c *Cache) touch(b int64, s int32) {
 
 // moveToFront moves block b's slot s to the head of its set's list.
 func (c *Cache) moveToFront(b int64, s int32) {
-	set := c.setOf(b)
-	if c.head[set] == s {
-		return
+	if set := c.setOf(b); c.head[set] != s {
+		c.unlink(set, s)
+		c.link(set, s)
 	}
+}
+
+// unlink takes slot s out of its set's list.
+func (c *Cache) unlink(set int64, s int32) {
 	sl := &c.slots[s]
 	if sl.prev != nilSlot {
 		c.slots[sl.prev].next = sl.next
+	} else {
+		c.head[set] = sl.next
 	}
 	if sl.next != nilSlot {
 		c.slots[sl.next].prev = sl.prev
-	}
-	if c.tail[set] == s {
+	} else {
 		c.tail[set] = sl.prev
 	}
-	sl.prev = nilSlot
-	sl.next = c.head[set]
-	if c.head[set] != nilSlot {
-		c.slots[c.head[set]].prev = s
-	}
-	c.head[set] = s
-	if c.tail[set] == nilSlot {
+}
+
+// link puts slot s at the head of its set's list.
+func (c *Cache) link(set int64, s int32) {
+	sl := &c.slots[s]
+	sl.prev, sl.next = nilSlot, c.head[set]
+	if sl.next != nilSlot {
+		c.slots[sl.next].prev = s
+	} else {
 		c.tail[set] = s
 	}
+	c.head[set] = s
 }
 
 // access looks up block b, updating LRU order and hit/miss counters.  On a
@@ -287,58 +287,36 @@ func (c *Cache) access(b int64, write bool) bool {
 	return false
 }
 
-// install places block b at its set's MRU position, evicting if full.
+// install places block b at its set's MRU position, in a free slot or in
+// the slot of the set's LRU block, which it evicts.  The LRU block is the
+// minimum stamp of a timestamp set or the tail of a list.
 func (c *Cache) install(b int64, dirty bool) {
-	if !c.inited {
-		c.init()
-	}
 	set := c.setOf(b)
-	var s int32
-	if c.free[set] != nilSlot {
-		s = c.free[set]
+	s := c.free[set]
+	if s != nilSlot {
 		c.free[set] = c.slots[s].next
 		c.resident++
-	} else if c.stamp != nil {
-		// Evict the set's LRU: the minimum stamp.
-		s = c.oldest(set)
-		victim := &c.slots[s]
-		c.Stats.Evictions++
-		if victim.dirty {
-			c.Stats.Writebacks++
-		}
-		c.unindex(victim.block)
 	} else {
-		// Evict the set's LRU: the list tail.
-		s = c.tail[set]
-		victim := &c.slots[s]
+		if c.stamp != nil {
+			s = c.oldest(set)
+		} else {
+			s = c.tail[set]
+			c.unlink(set, s)
+		}
 		c.Stats.Evictions++
-		if victim.dirty {
+		if c.slots[s].dirty {
 			c.Stats.Writebacks++
 		}
-		c.unindex(victim.block)
-		c.tail[set] = victim.prev
-		if c.tail[set] != nilSlot {
-			c.slots[c.tail[set]].next = nilSlot
-		} else {
-			c.head[set] = nilSlot
-		}
+		c.unindex(c.slots[s].block)
 	}
+	c.slots[s] = slot{block: b, prev: nilSlot, next: nilSlot, dirty: dirty}
+	c.setIndex(b, s)
 	if c.stamp != nil {
-		c.slots[s] = slot{block: b, prev: nilSlot, next: nilSlot, dirty: dirty}
 		c.stamp[s] = c.tick
 		c.tick++
-		c.setIndex(b, s)
-		return
+	} else {
+		c.link(set, s)
 	}
-	c.slots[s] = slot{block: b, prev: nilSlot, next: c.head[set], dirty: dirty}
-	if c.head[set] != nilSlot {
-		c.slots[c.head[set]].prev = s
-	}
-	c.head[set] = s
-	if c.tail[set] == nilSlot {
-		c.tail[set] = s
-	}
-	c.setIndex(b, s)
 }
 
 // oldest returns the slot with the minimum stamp in a full timestamp-LRU
@@ -383,31 +361,14 @@ func (c *Cache) invalidate(b int64) {
 	}
 	set := c.setOf(b)
 	c.Stats.Invalidations++
-	sl := &c.slots[s]
-	if sl.dirty {
+	if c.slots[s].dirty {
 		c.Stats.Writebacks++
 	}
 	c.unindex(b)
-	if c.stamp != nil {
-		sl.next = c.free[set]
-		sl.prev = nilSlot
-		sl.dirty = false
-		c.free[set] = s
-		c.resident--
-		return
+	if c.stamp == nil {
+		c.unlink(set, s)
 	}
-	if sl.prev != nilSlot {
-		c.slots[sl.prev].next = sl.next
-	} else {
-		c.head[set] = sl.next
-	}
-	if sl.next != nilSlot {
-		c.slots[sl.next].prev = sl.prev
-	} else {
-		c.tail[set] = sl.prev
-	}
-	sl.next = c.free[set]
-	sl.prev = nilSlot
+	c.slots[s].next = c.free[set]
 	c.free[set] = s
 	c.resident--
 }

@@ -27,7 +27,9 @@ import (
 // level-(i-1) units (caches, or cores for level 1) that share one cache at
 // this level; it corresponds to the paper's parameter p_i.  The paper fixes
 // p_1 = 1 (each core has a private L1), so the level-1 spec must have
-// Arity 1.
+// Arity 1.  Ways is 0 or a power of two, so every set count is one too;
+// 0, or a Ways at or above the level's C_i/B_i blocks, is the fully
+// associative ideal cache.
 type LevelSpec struct {
 	Capacity int64 // C_i, words
 	Block    int64 // B_i, words
@@ -38,11 +40,12 @@ type LevelSpec struct {
 // Config describes an HM machine: Levels[0] is the level-1 (private) cache,
 // Levels[h-2] is the level-(h-1) cache below the shared memory.  The paper's
 // p_h = 1 convention is realised by always building exactly one cache at the
-// topmost level.
+// topmost level.  Every machine is coherent: a write invalidates each copy
+// of the written block held by a cache off the writing core's path
+// (ping-ponging).  On one core there is no such cache.
 type Config struct {
-	Name      string
-	Levels    []LevelSpec
-	Coherence bool // charge invalidations for writes to blocks cached off-path (ping-ponging)
+	Name   string
+	Levels []LevelSpec
 }
 
 // NumLevels returns h, counting the shared memory as level h.
@@ -88,6 +91,7 @@ func (c Config) CoresUnder(level int) int {
 //   - strictly growing capacities with C_i >= p_i * C_{i-1} (the paper's
 //     C_i >= c_i p_i C_{i-1} with c_i >= 1);
 //   - tall caches: C_i >= B_i^2;
+//   - associativity (Ways) 0 or a power of two;
 //   - at most 64 cores (a simulator limit used by the coherence bitmasks).
 //
 // Every violation returns a descriptive error naming the offending level,
@@ -113,6 +117,9 @@ func (c Config) Validate() error {
 		}
 		if l.Capacity < l.Block*l.Block {
 			return fmt.Errorf("hm: level %d: not tall (C=%d < B^2=%d)", lv, l.Capacity, l.Block*l.Block)
+		}
+		if l.Ways < 0 || l.Ways&(l.Ways-1) != 0 {
+			return fmt.Errorf("hm: level %d: ways %d must be 0 (fully associative) or a power of two", lv, l.Ways)
 		}
 		if l.Arity < 1 {
 			return fmt.Errorf("hm: level %d: fan-out (arity) must be >= 1, got %d", lv, l.Arity)
@@ -181,7 +188,6 @@ func MC3(p int) Config {
 			{Capacity: 1 << 10, Block: 1 << 4, Arity: 1},
 			{Capacity: 1 << 16, Block: 1 << 5, Arity: p},
 		},
-		Coherence: true,
 	}
 }
 
@@ -195,7 +201,6 @@ func HM4(groups, per int) Config {
 			{Capacity: 1 << 13, Block: 1 << 4, Arity: per},
 			{Capacity: 1 << 18, Block: 1 << 5, Arity: groups},
 		},
-		Coherence: true,
 	}
 }
 
@@ -210,7 +215,6 @@ func HM5(a2, a3, a4 int) Config {
 			{Capacity: 1 << 16, Block: 1 << 5, Arity: a3},
 			{Capacity: 1 << 20, Block: 1 << 5, Arity: a4},
 		},
-		Coherence: true,
 	}
 }
 

@@ -79,6 +79,12 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 			{Capacity: 1 << 10, Block: 8, Arity: 1},
 			{Capacity: 1 << 20, Block: 8, Arity: 128},
 		}}, "exceeds"},
+		// Bad Ways on a 64-block level.  With a Ways that is not a power of
+		// two the sets would not cover the cache: 48 ways hold 48 blocks.
+		{"negative ways", Config{Name: "x", Levels: []LevelSpec{{Capacity: 1 << 9, Block: 8, Arity: 1, Ways: -1}}}, "level 1: ways -1 must be"},
+		{"3 ways", Config{Name: "x", Levels: []LevelSpec{{Capacity: 1 << 9, Block: 8, Arity: 1, Ways: 3}}}, "level 1: ways 3 must be"},
+		{"12 ways", Config{Name: "x", Levels: []LevelSpec{{Capacity: 1 << 9, Block: 8, Arity: 1, Ways: 12}}}, "level 1: ways 12 must be"},
+		{"48 ways", Config{Name: "x", Levels: []LevelSpec{{Capacity: 1 << 9, Block: 8, Arity: 1, Ways: 48}}}, "level 1: ways 48 must be"},
 	}
 	for _, b := range bad {
 		err := b.cfg.Validate()

@@ -41,7 +41,7 @@ type Machine struct {
 	// [p*pageLen, (p+1)*pageLen) and is allocated on the first install in
 	// that range; a zero mask or an absent page means no copies.  A set
 	// bit may be stale (its cache has since dropped the block), a clear bit
-	// never is.  nil when the config disables coherence.
+	// never is.
 	holders [][]*holderPage
 
 	// ownMask[c][i-1] is the holder bit of the level-i cache on core c's
@@ -115,10 +115,13 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	m.path = make([][]*Cache, p)
 	m.l1 = make([]*Cache, p)
+	m.ownMask = make([][]uint64, p)
 	for c := 0; c < p; c++ {
 		m.path[c] = make([]*Cache, h1)
-		for i := 1; i <= h1; i++ {
-			m.path[c][i-1] = m.ByLevel[i-1][c/cfg.CoresUnder(i)]
+		m.ownMask[c] = make([]uint64, h1)
+		for i := 0; i < h1; i++ {
+			m.path[c][i] = m.ByLevel[i][c/cfg.CoresUnder(i+1)]
+			m.ownMask[c][i] = 1 << uint(m.path[c][i].Index)
 		}
 		m.l1[c] = m.path[c][0]
 	}
@@ -126,16 +129,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	for i := 0; i < h1; i++ {
 		m.shift[i] = uint(bits.TrailingZeros64(uint64(cfg.Levels[i].Block)))
 	}
-	if cfg.Coherence {
-		m.holders = make([][]*holderPage, h1)
-		m.ownMask = make([][]uint64, p)
-		for c := 0; c < p; c++ {
-			m.ownMask[c] = make([]uint64, h1)
-			for i := 0; i < h1; i++ {
-				m.ownMask[c][i] = 1 << uint(m.path[c][i].Index)
-			}
-		}
-	}
+	m.holders = make([][]*holderPage, h1)
 	return m, nil
 }
 
@@ -225,18 +219,25 @@ func (m *Machine) miss(core int, a Addr, write bool) {
 			break
 		}
 		top = i
-		if m.holders != nil {
-			m.setHolder(i, b, 1<<uint(c.Index))
-		}
-	}
-	if m.holders == nil {
-		return
+		m.setHolder(i, b, 1<<uint(c.Index))
 	}
 	m.dropExcl(core, top, a)
 	if write {
-		m.invalidateOffPath(core, a)
 		c1 := path[0]
-		c1.slots[c1.lookup(int64(a)>>m.shift[0])].excl = true
+		m.write(core, a, &c1.slots[c1.lookup(int64(a)>>m.shift[0])])
+	}
+}
+
+// write applies the exclusive-write rule to sl, core's L1 slot holding the
+// block of a: the slot turns dirty, and the first write since it lost
+// exclusivity invalidates every off-path copy (invalidateOffPath) and makes
+// it exclusive again.  A write hit on an exclusive slot thus skips the
+// scan.  It stays small enough to inline into Store, apply and miss.
+func (m *Machine) write(core int, a Addr, sl *slot) {
+	sl.dirty = true
+	if !sl.excl {
+		m.invalidateOffPath(core, a)
+		sl.excl = true
 	}
 }
 
@@ -356,12 +357,7 @@ func (m *Machine) Store(core int, a Addr, v uint64) {
 		if s := c1.lookup(b); s != nilSlot {
 			c1.Stats.Hits++
 			c1.touch(b, s)
-			sl := &c1.slots[s]
-			sl.dirty = true
-			if !sl.excl && m.holders != nil {
-				m.invalidateOffPath(core, a)
-				sl.excl = true
-			}
+			m.write(core, a, &c1.slots[s])
 		} else {
 			m.miss(core, a, true)
 		}
@@ -437,11 +433,9 @@ func (m *Machine) FlushCaches() {
 		for _, c := range level {
 			c.Flush()
 		}
-		if m.holders != nil {
-			for _, pg := range m.holders[i] {
-				if pg != nil {
-					clear(pg[:])
-				}
+		for _, pg := range m.holders[i] {
+			if pg != nil {
+				clear(pg[:])
 			}
 		}
 	}

@@ -185,12 +185,7 @@ func (m *Machine) apply(recs []uint64) {
 		c1.Stats.Hits++
 		c1.touch(b, s)
 		if write {
-			sl := &c1.slots[s]
-			sl.dirty = true
-			if !sl.excl && m.holders != nil {
-				m.invalidateOffPath(core, a)
-				sl.excl = true
-			}
+			m.write(core, a, &c1.slots[s])
 		}
 	}
 }

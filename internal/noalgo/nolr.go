@@ -347,10 +347,3 @@ func baseRank(w *no.World, nodes []noNode, cur int, rank []int64) {
 		}
 	})
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

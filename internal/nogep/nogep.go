@@ -359,7 +359,7 @@ func (g *Engine) localize(calls []call) []call {
 				payload := make([]uint64, 0, 2+runEnd-z)
 				payload = append(payload, uint64(bufID(t.dst)), uint64(dz%t.dst.SlotsPer))
 				for zz := z; zz < runEnd; zz++ {
-					payload = append(payload, f2u(b.Data[pe-b.Lo][zz-mySlotLo]))
+					payload = append(payload, math.Float64bits(b.Data[pe-b.Lo][zz-mySlotLo]))
 				}
 				e.Send(dpe, 0, payload...)
 				z = runEnd
@@ -379,7 +379,7 @@ func (g *Engine) localize(calls []call) []call {
 					continue
 				}
 				for k, wv := range m.Data[2:] {
-					t.dst.Data[pe-t.dst.Lo][loc+k] = u2f(wv)
+					t.dst.Data[pe-t.dst.Lo][loc+k] = math.Float64frombits(wv)
 				}
 				break
 			}
@@ -427,21 +427,4 @@ func bufID(b *buf) int {
 	nextBufID++
 	bufIDs[b] = nextBufID
 	return nextBufID
-}
-
-func f2u(x float64) uint64 { return math.Float64bits(x) }
-func u2f(x uint64) float64 { return math.Float64frombits(x) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

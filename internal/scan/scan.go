@@ -17,7 +17,11 @@ package scan
 //
 //oblivcheck:dataoblivious
 
-import "oblivhm/internal/core"
+import (
+	"math"
+
+	"oblivhm/internal/core"
+)
 
 // Op is an associative binary operation on words.
 type Op func(a, b uint64) uint64
@@ -127,7 +131,7 @@ func ExclusiveSumsI64(c *core.Ctx, v core.I64) int64 {
 //oblivcheck:secret v
 func PrefixSumsF64(c *core.Ctx, v core.F64) {
 	op := func(a, b uint64) uint64 {
-		return f2u(u2f(a) + u2f(b))
+		return math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
 	}
 	InclusiveU64(c, core.U64{Base: v.Base, N: v.N}, core.U64{}, op)
 }
@@ -239,9 +243,6 @@ func PackPairs(c *core.Ctx, dst, src core.Pairs, pred func(core.Pair) bool) int 
 	})
 	return int(total)
 }
-
-func u2f(x uint64) float64 { return float64frombits(x) }
-func f2u(x float64) uint64 { return float64bits(x) }
 
 // PackPairsIndexed is PackPairs with an index- and context-aware predicate
 // (for stream compactions that compare neighbouring records, e.g. sorted

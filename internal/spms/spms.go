@@ -20,6 +20,8 @@
 package spms
 
 import (
+	"math"
+
 	"oblivhm/internal/core"
 	"oblivhm/internal/scan"
 	"oblivhm/internal/transpose"
@@ -221,7 +223,7 @@ func clamp(x, lo, hi int) int {
 // float's total order (negative numbers first, -0 < +0 treated as equal up
 // to the mapping, NaNs sort high).  Use it to sort records by float keys.
 func FloatKey(f float64) uint64 {
-	b := mathFloat64bits(f)
+	b := math.Float64bits(f)
 	if b&(1<<63) != 0 {
 		return ^b // negative: flip everything
 	}
@@ -231,7 +233,7 @@ func FloatKey(f float64) uint64 {
 // FloatFromKey inverts FloatKey.
 func FloatFromKey(k uint64) float64 {
 	if k&(1<<63) != 0 {
-		return mathFloat64frombits(k &^ (1 << 63))
+		return math.Float64frombits(k &^ (1 << 63))
 	}
-	return mathFloat64frombits(^k)
+	return math.Float64frombits(^k)
 }

@@ -29,7 +29,9 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -174,18 +176,10 @@ func jsonSpecError(err error) *SpecError {
 		return specErrf(name, "unknown field")
 	}
 	var ute *json.UnmarshalTypeError
-	if ok := asJSONTypeError(err, &ute); ok && ute.Field != "" {
+	if errors.As(err, &ute) && ute.Field != "" {
 		return specErrf(ute.Field, "want %s, got JSON %s", ute.Type, ute.Value)
 	}
 	return specErrf("json", "malformed spec: %s", msg)
-}
-
-func asJSONTypeError(err error, target **json.UnmarshalTypeError) bool {
-	if ute, ok := err.(*json.UnmarshalTypeError); ok {
-		*target = ute
-		return true
-	}
-	return false
 }
 
 // Validate normalizes the spec in place (defaulting the seed and option
@@ -359,13 +353,13 @@ func (s *Spec) validateHypothesis(i int) error {
 // a silent empty match would make a hypothesis vacuously fail at evaluation
 // time with a far less helpful message.
 func (s *Spec) checkSelector(fieldName string, sel Selector) error {
-	if sel.Algo != "" && !contains(s.Algos, sel.Algo) {
+	if sel.Algo != "" && !slices.Contains(s.Algos, sel.Algo) {
 		return specErrf(fieldName+".algo", "%q is not on the algos axis %v", sel.Algo, s.Algos)
 	}
-	if sel.Machine != "" && !contains(s.Machines, sel.Machine) {
+	if sel.Machine != "" && !slices.Contains(s.Machines, sel.Machine) {
 		return specErrf(fieldName+".machine", "%q is not on the machines axis %v", sel.Machine, s.Machines)
 	}
-	if sel.Options != "" && !contains(s.Options, sel.Options) {
+	if sel.Options != "" && !slices.Contains(s.Options, sel.Options) {
 		return specErrf(fieldName+".options", "%q is not on the options axis %v", sel.Options, s.Options)
 	}
 	return nil
@@ -454,15 +448,6 @@ func uniqueStrings(axis string, vals []string, check func(int, string) error) er
 		seen[v] = true
 	}
 	return nil
-}
-
-func contains(vals []string, v string) bool {
-	for _, x := range vals {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 func presetNames(presets map[string]hm.Config) []string {
