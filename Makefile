@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test bench bench-smoke bench-check tables examples vet oblivcheck trace-check lint cover race failure-sweep fuzz soak profile sweep sweep-smoke clean
+.PHONY: all test bench bench-smoke bench-check tables examples vet oblivcheck trace-check inline-check lint cover race failure-sweep fuzz soak profile sweep sweep-smoke clean
 
 all: vet test
 
@@ -32,6 +32,20 @@ oblivcheck:
 # caught.  Run under the race detector.
 trace-check:
 	$(GO) test -race -run 'TestTrace' -count=1 ./internal/harness ./internal/hm
+
+# Inlining gate of the cache walk's hot path (DESIGN.md §6): every simulated
+# access goes through Cache.lookup and Cache.touch, every record through
+# Machine.push and record, and every write hit through Machine.write.  Fail,
+# naming the function, when the compiler no longer reports one of them as
+# inlinable.
+INLINE_FUNCS = '(*Cache).lookup' '(*Cache).touch' '(*Machine).push' 'record' '(*Machine).write'
+inline-check:
+	@out="$$($(GO) build -gcflags=-m ./internal/hm 2>&1)" || { echo "$$out" >&2; exit 1; }; \
+	names="$$(printf '%s\n' "$$out" | sed -n 's/^[^ ]*: can inline //p')"; \
+	status=0; for f in $(INLINE_FUNCS); do \
+		printf '%s\n' "$$names" | grep -qxF -- "$$f" || \
+			{ echo "inline-check: $$f is not inlinable any more" >&2; status=1; }; \
+	done; exit $$status
 
 # One-shot static-check entry point: formatting + go vet + oblivcheck, plus
 # staticcheck when it is installed (CI pins and installs it; local trees

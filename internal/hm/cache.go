@@ -50,16 +50,14 @@ type Cache struct {
 	stamp []int64
 	tick  int64
 
-	// Victim buffer of timestamp LRU: one O(ways) scan records a set's
-	// vcap oldest (slot, stamp) pairs, oldest first, in victims[set*vcap:],
-	// and the next evictions take them in order from vnext[set].  A
-	// candidate whose stamp changed since the scan was touched or
-	// reinstalled and is skipped; the first unchanged one is still the set
-	// minimum, because stamps only grow.  When none is left, the set is
-	// scanned again.
-	victims []victim
-	vnext   []int32
-	vcap    int64
+	// Winner tree of timestamp LRU: set s owns tree[s*ways:][:ways].  Node
+	// ways+o is slot o's leaf, whose key, stamp<<leafBits | o, is read from
+	// stamp; inner node i < ways holds the minimum of nodes 2i and 2i+1 as
+	// they were when it was last computed, so the root, node 1, is a
+	// minimum of recorded keys (node 0 is unused).  init computes every
+	// node, and stamps only grow, so a recorded key is never above its
+	// slot's current one: the root bounds every key in the set from below.
+	tree []int64
 
 	resident int64 // blocks currently held
 	inited   bool
@@ -93,21 +91,16 @@ func pageOf[P any](table *[]*P, p int64) *P {
 	return (*table)[p]
 }
 
-// stampLRUMax bounds the victim scan of timestamp LRU: caches whose sets
-// are larger keep the linked-list implementation.  64 covers the L1s
-// (touched on every access, tiny scan) while miss-heavy upper levels, where
-// an O(set) scan per victimBuf evictions would outweigh the cheap touches,
-// stay on the O(1)-eviction list.
-const stampLRUMax = 64
-
-// victimBuf is the number of eviction candidates one timestamp-LRU scan
-// buffers per set.
-const victimBuf = 16
-
-type victim struct {
-	stamp int64
-	slot  int32
-}
+// stampLRUMax bounds the sets of timestamp LRU: caches whose sets are
+// larger keep the linked-list implementation.  64 covers the L1s (touched on
+// every access, a 6-level tree) while miss-heavy upper levels, where
+// refreshing a deep tree per eviction would outweigh the cheap touches, stay
+// on the O(1)-eviction list.  A winner-tree key keeps the slot in its low
+// leafBits bits.
+const (
+	leafBits    = 6
+	stampLRUMax = 1 << leafBits
+)
 
 type slot struct {
 	block      int64
@@ -153,14 +146,10 @@ func (c *Cache) init() {
 			c.tick = 1
 		}
 		// Reused stamps stay monotonic (tick is not reset), so stale
-		// values can never shadow fresh ones.
-		c.vcap = min(c.ways, victimBuf)
-		if int64(len(c.vnext)) != nsets || int64(len(c.victims)) != nsets*c.vcap {
-			c.victims = make([]victim, nsets*c.vcap)
-			c.vnext = make([]int32, nsets)
-		}
-		for s := range c.vnext {
-			c.vnext[s] = int32(c.vcap) // empty: the first eviction scans
+		// values can never shadow fresh ones, and a tree computed from them
+		// is a lower bound.
+		if int64(len(c.tree)) != c.Cap {
+			c.tree = make([]int64, c.Cap)
 		}
 	} else {
 		c.stamp = nil
@@ -179,6 +168,13 @@ func (c *Cache) init() {
 		c.slots[hi-1].next = nilSlot
 		c.free[s] = int32(lo)
 		c.head[s], c.tail[s] = nilSlot, nilSlot
+		for i := c.ways - 1; c.stamp != nil && i > 0; i-- { // the set's tree
+			if o := 2*i - c.ways; o >= 0 {
+				c.tree[lo+i] = min(c.key(lo, o), c.key(lo, o+1))
+			} else {
+				c.tree[lo+i] = min(c.tree[lo+2*i], c.tree[lo+2*i+1])
+			}
+		}
 	}
 	c.resident = 0
 	c.inited = true
@@ -267,13 +263,9 @@ func (c *Cache) link(set int64, s int32) {
 }
 
 // access looks up block b, updating LRU order and hit/miss counters.  On a
-// miss the block is installed, evicting its set's LRU block if necessary
-// (counting a writeback if it was dirty).  write marks the block dirty.
-// Returns true on hit.
+// miss the block is filled in.  write marks the block dirty.  Returns true
+// on hit.
 func (c *Cache) access(b int64, write bool) bool {
-	if !c.inited {
-		c.init()
-	}
 	if s := c.lookup(b); s != nilSlot {
 		c.Stats.Hits++
 		c.touch(b, s)
@@ -282,15 +274,19 @@ func (c *Cache) access(b int64, write bool) bool {
 		}
 		return true
 	}
-	c.Stats.Misses++
-	c.install(b, write)
+	c.fill(b, write)
 	return false
 }
 
-// install places block b at its set's MRU position, in a free slot or in
-// the slot of the set's LRU block, which it evicts.  The LRU block is the
-// minimum stamp of a timestamp set or the tail of a list.
-func (c *Cache) install(b int64, dirty bool) {
+// fill counts a miss of absent block b and places b at its set's MRU
+// position, in a free slot or in that of the set's LRU block, the minimum
+// stamp of a timestamp set or the tail of a list, which it evicts (counting
+// a writeback if that block was dirty).  Returns b's slot.
+func (c *Cache) fill(b int64, dirty bool) int32 {
+	if !c.inited {
+		c.init()
+	}
+	c.Stats.Misses++
 	set := c.setOf(b)
 	s := c.free[set]
 	if s != nilSlot {
@@ -317,39 +313,38 @@ func (c *Cache) install(b int64, dirty bool) {
 	} else {
 		c.link(set, s)
 	}
+	return s
 }
 
 // oldest returns the slot with the minimum stamp in a full timestamp-LRU
-// set: the first buffered candidate whose stamp is unchanged, or, when the
-// buffer runs dry, the oldest slot of a fresh scan that refills it.
+// set.  The root of the set's winner tree bounds every key from below, so
+// its slot is the minimum when the slot's key is still the recorded one.
+// Otherwise that slot was touched or reinstalled since: its path to the
+// root is recomputed from its current key, and the root is tried again.
 func (c *Cache) oldest(set int64) int32 {
-	buf := c.victims[set*c.vcap : (set+1)*c.vcap]
-	for k := c.vnext[set]; k < int32(len(buf)); k++ {
-		if v := buf[k]; c.stamp[v.slot] == v.stamp {
-			c.vnext[set] = k + 1
-			return v.slot
+	base := set * c.ways
+	if c.ways == 1 {
+		return int32(base)
+	}
+	t := c.tree[base:][:c.ways]
+	for {
+		o := t[1] & (stampLRUMax - 1)
+		v := c.key(base, o)
+		if v == t[1] {
+			return int32(base + o)
+		}
+		v = min(v, c.key(base, o^1))
+		i := (c.ways + o) >> 1
+		t[i] = v
+		for ; i > 1; i >>= 1 {
+			v = min(v, t[i^1])
+			t[i>>1] = v
 		}
 	}
-	// Keep the vcap smallest stamps of the set, sorted by insertion.
-	n := 0
-	for i := set * c.ways; i < (set+1)*c.ways; i++ {
-		st := c.stamp[i]
-		if n == len(buf) {
-			if st > buf[n-1].stamp {
-				continue
-			}
-			n--
-		}
-		j := n
-		for ; j > 0 && buf[j-1].stamp > st; j-- {
-			buf[j] = buf[j-1]
-		}
-		buf[j] = victim{stamp: st, slot: int32(i)}
-		n++
-	}
-	c.vnext[set] = 1
-	return buf[0].slot
 }
+
+// key is the winner-tree key of slot o in the set whose first slot is base.
+func (c *Cache) key(base, o int64) int64 { return c.stamp[base+o]<<leafBits | o }
 
 // invalidate removes block b if resident, counting an invalidation.  A dirty
 // victim counts a writeback (its data must move before another core's copy

@@ -98,35 +98,49 @@ func TestCacheNeverExceedsCapacity(t *testing.T) {
 }
 
 // TestCacheMatchesReferenceLRU cross-checks both LRU implementations
-// against a slice-based model: timestamps with the victim buffer (8 blocks,
-// and the presets' 64-block L1, where the buffer holds a quarter of the
-// set) and the linked list (128 blocks, above stampLRUMax).  The random
-// stream mixes invalidations in with the accesses, so buffered victims get
-// invalidated, reinstalled and touched before they are due.  The sparse
-// case maps the drawn ids to pairs that straddle index page boundaries,
-// three pages apart, so lookups also meet absent pages.
+// against a slice model per set.  Timestamp sets pick their victim from a
+// winner tree: trees of one and two leaves (cap1, cap2), an 8-leaf tree,
+// the presets' 64-slot L1, and sixteen 4-leaf trees (the 4-way case).  The
+// linked list serves the 128-block cache, above stampLRUMax.  The random
+// stream mixes invalidations in with the accesses, so recorded keys go
+// stale through touches, reinstalls and invalidations before their slot is
+// due.  The flushed case empties the cache and the model every 5,000 steps,
+// so its tree is rebuilt mid-stream from reused stamps.  The sparse case
+// maps the drawn ids to pairs that straddle index page boundaries, three
+// pages apart, so lookups also meet absent pages.
 func TestCacheMatchesReferenceLRU(t *testing.T) {
 	dense := func(k int64) int64 { return k }
 	sparse := func(k int64) int64 { return k/2*3*pageLen + pageLen - 1 + k%2 }
 	for _, tc := range []struct {
-		name      string
-		capBlocks int64
-		id        func(int64) int64
+		name       string
+		capBlocks  int64
+		ways       int64 // 0: fully associative
+		flushEvery int   // 0: never
+		id         func(int64) int64
 	}{
-		{"cap8", 8, dense},
-		{"cap64", 64, dense},
-		{"cap128", 128, dense},
-		{"cap64-sparse", 64, sparse},
+		{"cap1", 1, 0, 0, dense},
+		{"cap2", 2, 0, 0, dense},
+		{"cap8", 8, 0, 0, dense},
+		{"cap64", 64, 0, 0, dense},
+		{"cap128", 128, 0, 0, dense},
+		{"cap64-sparse", 64, 0, 0, sparse},
+		{"cap64-4way", 64, 4, 0, dense},
+		{"cap64-flushed", 64, 0, 5000, dense},
 	} {
-		capBlocks := tc.capBlocks
 		t.Run(tc.name, func(t *testing.T) {
-			c := newTestCache(capBlocks, 8)
-			var ref []int64 // ref[0] is MRU
+			c := &Cache{Level: 1, Block: 8, Cap: tc.capBlocks, Ways: int(tc.ways)}
+			ways := tc.ways
+			if ways == 0 {
+				ways = tc.capBlocks
+			}
+			sets := tc.capBlocks / ways
+			ref := make([][]int64, sets) // ref[set][0] is the set's MRU
 			var evictions, invalidations int64
 			remove := func(b int64) bool {
-				for i, x := range ref {
+				set := ref[b%sets]
+				for i, x := range set {
 					if x == b {
-						ref = append(ref[:i], ref[i+1:]...)
+						ref[b%sets] = append(set[:i], set[i+1:]...)
 						return true
 					}
 				}
@@ -134,7 +148,11 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(42))
 			for k := 0; k < 20000; k++ {
-				b := tc.id(rng.Int63n(capBlocks * 5 / 2))
+				if tc.flushEvery > 0 && k > 0 && k%tc.flushEvery == 0 {
+					c.Flush()
+					ref = make([][]int64, sets)
+				}
+				b := tc.id(rng.Int63n(tc.capBlocks * 5 / 2))
 				if rng.Intn(8) == 0 {
 					c.invalidate(b)
 					if remove(b) {
@@ -144,11 +162,12 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 				}
 				gotHit := c.access(b, false)
 				wantHit := remove(b)
-				ref = append([]int64{b}, ref...)
-				if int64(len(ref)) > capBlocks {
-					ref = ref[:capBlocks]
+				set := append([]int64{b}, ref[b%sets]...)
+				if int64(len(set)) > ways {
+					set = set[:ways]
 					evictions++
 				}
+				ref[b%sets] = set
 				if gotHit != wantHit {
 					t.Fatalf("step %d block %d: hit=%v want %v", k, b, gotHit, wantHit)
 				}
@@ -157,13 +176,17 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 				t.Fatalf("evictions %d, invalidations %d; model %d, %d",
 					c.Stats.Evictions, c.Stats.Invalidations, evictions, invalidations)
 			}
-			if c.Resident() != int64(len(ref)) {
-				t.Fatalf("resident %d, model %d", c.Resident(), len(ref))
-			}
-			for _, b := range ref {
-				if !c.Contains(b) {
-					t.Fatalf("reference holds %d but cache does not", b)
+			resident := 0
+			for _, set := range ref {
+				resident += len(set)
+				for _, b := range set {
+					if !c.Contains(b) {
+						t.Fatalf("reference holds %d but cache does not", b)
+					}
 				}
+			}
+			if c.Resident() != int64(resident) {
+				t.Fatalf("resident %d, model %d", c.Resident(), resident)
 			}
 		})
 	}

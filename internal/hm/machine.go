@@ -206,15 +206,20 @@ func (m *Machine) Alloc(n int64) Addr {
 // HeapWords returns the current size of the allocated heap in words.
 func (m *Machine) HeapWords() int64 { return int64(m.heap) }
 
-// miss walks core's cache path after an L1 miss, from level 1 upward,
-// stopping at the first hit (or memory) and installing the block into every
-// missed level on the path.  The L1 hit, the overwhelmingly common case,
-// never gets here: Load and Store handle it inline.
+// miss walks core's cache path after its caller's L1 lookup found nothing:
+// it fills the L1, then walks up, stopping at the first hit (or memory) and
+// installing the block into every missed level on the path.  The L1 slot
+// stays put for the write rule: only other caches install on the way, and
+// dropExcl skips core's own L1.  The L1 hit, the overwhelmingly common
+// case, never gets here: Load, Store and apply handle it inline.
 func (m *Machine) miss(core int, a Addr, write bool) {
 	path := m.path[core]
+	c1, b1 := path[0], int64(a)>>m.shift[0]
+	s1 := c1.fill(b1, write)
+	m.setHolder(0, b1, 1<<uint(c1.Index))
 	top := 0 // the highest level that installed, 0-based
-	for i, c := range path {
-		b := int64(a) >> m.shift[i]
+	for i := 1; i < len(path); i++ {
+		c, b := path[i], int64(a)>>m.shift[i]
 		if c.access(b, write) {
 			break
 		}
@@ -223,8 +228,7 @@ func (m *Machine) miss(core int, a Addr, write bool) {
 	}
 	m.dropExcl(core, top, a)
 	if write {
-		c1 := path[0]
-		m.write(core, a, &c1.slots[c1.lookup(int64(a)>>m.shift[0])])
+		m.write(core, a, &c1.slots[s1])
 	}
 }
 
