@@ -33,18 +33,38 @@ oblivcheck:
 trace-check:
 	$(GO) test -race -run 'TestTrace' -count=1 ./internal/harness ./internal/hm
 
-# Inlining gate of the cache walk's hot path (DESIGN.md §6): every simulated
-# access goes through Cache.lookup and Cache.touch, every record through
-# Machine.push and record, and every write hit through Machine.write.  Fail,
-# naming the function, when the compiler no longer reports one of them as
-# inlinable.
-INLINE_FUNCS = '(*Cache).lookup' '(*Cache).touch' '(*Machine).push' 'record' '(*Machine).write'
+# Inlining gate of the access path (DESIGN.md §6).  In internal/hm every
+# simulated access goes through Cache.lookup and Cache.touch, every record
+# through Machine.push and record, every write hit through Machine.write,
+# and every access from algorithm code through the fast path,
+# Machine.TryLoad or TryStore.  In internal/core the budget decrement
+# (strand.charge) and the element accessors must inline into their callers,
+# and Ctx.LoadU and StoreU must inline the fast path, so that a simulated
+# access from algorithm code is one call.  Fail, naming the function,
+# when the compiler no longer reports one of INLINE_FUNCS as inlinable, or
+# no longer inlines the callee of a caller:callee pair of INLINE_CALLS at
+# its calls inside the caller in internal/core/ctx.go.
+INLINE_FUNCS = '(*Cache).lookup' '(*Cache).touch' '(*Machine).push' 'record' '(*Machine).write' \
+	'(*Machine).TryLoad' '(*Machine).TryStore' \
+	'(*strand).charge' 'Mat.At' 'Mat.Set' 'F64.At' 'F64.Set' 'I64.At' 'I64.Set' 'U64.At' 'U64.Set'
+INLINE_CALLS = LoadU:TryLoad StoreU:TryStore
 inline-check:
-	@out="$$($(GO) build -gcflags=-m ./internal/hm 2>&1)" || { echo "$$out" >&2; exit 1; }; \
+	@out="$$($(GO) build -gcflags=-m ./internal/hm ./internal/core 2>&1)" || { echo "$$out" >&2; exit 1; }; \
 	names="$$(printf '%s\n' "$$out" | sed -n 's/^[^ ]*: can inline //p')"; \
 	status=0; for f in $(INLINE_FUNCS); do \
 		printf '%s\n' "$$names" | grep -qxF -- "$$f" || \
 			{ echo "inline-check: $$f is not inlinable any more" >&2; status=1; }; \
+	done; \
+	for pair in $(INLINE_CALLS); do \
+		caller=$${pair%%:*}; callee=$${pair#*:}; \
+		lines="$$(awk -v f="$$caller" -v g="$$callee" \
+			'/^func /{inside = index($$0, ") " f "(") > 0} inside && index($$0, "." g "(") {print FNR}' \
+			internal/core/ctx.go)"; \
+		[ -n "$$lines" ] || { echo "inline-check: (*Ctx).$$caller does not call (*Machine).$$callee" >&2; status=1; }; \
+		for l in $$lines; do \
+			printf '%s\n' "$$out" | grep -q "^internal/core/ctx.go:$$l:[0-9]*: inlining call to hm\.(\*Machine)\.$$callee\$$" || \
+				{ echo "inline-check: (*Ctx).$$caller does not inline (*Machine).$$callee any more" >&2; status=1; }; \
+		done; \
 	done; exit $$status
 
 # One-shot static-check entry point: formatting + go vet + oblivcheck, plus
@@ -57,11 +77,11 @@ lint: vet oblivcheck
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One-iteration pass over the E-series, round-loop and hm cache-walk
-# benches: a cheap crash gate, not a timing run.
+# One-iteration pass over the E-series, round-loop, per-access and hm
+# cache-walk benches: a cheap crash gate, not a timing run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'E[0-9]' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'RoundLoop' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'RoundLoop|CtxAccess' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'Machine' -benchtime 1x ./internal/hm
 
 # The benchmark module (bench/, its own go.mod) builds against the simulator

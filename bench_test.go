@@ -186,6 +186,50 @@ func BenchmarkRoundLoopMemSerial(b *testing.B) {
 	b.ReportMetric(float64(steps), "vsteps")
 }
 
+// BenchmarkCtxAccess is the engine's host cost of one simulated access:
+// one run on mc3 issues about b.N accesses from algorithm code, loads and
+// stores in turn through U64.At and U64.Set over 256 words per strand, a
+// quarter of a core's L1, so every access after the first pass hits and
+// the cache walk stays cheap.  solo runs them on the root strand alone,
+// in batched solo grants; lockstep8 splits them over eight PFor strands,
+// one per core, which run in lockstep rounds of the default quantum.
+// ns/op is ns per simulated access.
+func BenchmarkCtxAccess(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		strands int
+	}{{"solo", 1}, {"lockstep8", 8}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg, err := harness.Machine("mc3")
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, err := hm.NewMachine(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := core.NewSim(m)
+			const words = 256
+			v := s.NewU64(bc.strands * words)
+			per := (b.N/bc.strands + 1) &^ 1 // accesses per strand, even
+			body := func(cc *core.Ctx, lo, hi int) {
+				for k := 0; k < per; k += 2 {
+					i := lo + k>>1&(words-1)
+					v.Set(cc, i, v.At(cc, i)+1)
+				}
+			}
+			b.ResetTimer()
+			s.Run(int64(bc.strands*words), func(c *core.Ctx) {
+				if bc.strands == 1 {
+					body(c, 0, words)
+					return
+				}
+				c.PFor(bc.strands*words, 1, body)
+			})
+		})
+	}
+}
+
 // ---- native (real goroutine) throughput of the same algorithm code ----
 
 func BenchmarkNativeSort(b *testing.B) {

@@ -20,12 +20,13 @@ import (
 
 	"oblivhm/internal/core"
 	"oblivhm/internal/harness"
+	"oblivhm/internal/hm"
 )
 
 func main() {
 	algo := flag.String("algo", "mt", "algorithm: "+strings.Join(harness.MOAlgos(), "|"))
 	n := flag.Int("n", 4096, "input size (elements; matrices use side=sqrt(n))")
-	machine := flag.String("machine", "hm4", "machine preset: seq|mc3|hm4|hm5")
+	machine := flag.String("machine", "hm4", "machine preset: "+strings.Join(hm.PresetNames(), "|"))
 	flat := flag.Bool("flat", false, "ablation: flat scheduler ignoring shared-cache levels")
 	steal := flag.Bool("steal", false, "extension: idle cores steal unstarted strands")
 	trace := flag.Bool("trace", false, "print a scheduler trace summary and core timeline")

@@ -114,8 +114,16 @@ func (s *Session) NewMat(rows, cols int) Mat {
 
 func (m Mat) addr(i, j int) Addr { return m.Base + Addr(i*m.Stride+j) }
 
-func (m Mat) At(c *Ctx, i, j int) float64     { return c.LoadF(m.addr(i, j)) }
-func (m Mat) Set(c *Ctx, i, j int, x float64) { c.StoreF(m.addr(i, j), x) }
+// At and Set are accounted element accesses.  They call LoadU and StoreU
+// directly, without LoadF, StoreF and addr, to stay under the inliner's
+// budget (make inline-check).
+func (m Mat) At(c *Ctx, i, j int) float64 {
+	return math.Float64frombits(c.LoadU(m.Base + Addr(i*m.Stride+j)))
+}
+
+func (m Mat) Set(c *Ctx, i, j int, x float64) {
+	c.StoreU(m.Base+Addr(i*m.Stride+j), math.Float64bits(x))
+}
 
 // Sub returns the view of rows [r0,r0+rows) x cols [c0,c0+cols).
 func (m Mat) Sub(r0, c0, rows, cols int) Mat {

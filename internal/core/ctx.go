@@ -14,6 +14,7 @@ import (
 // obliviousness boundary of the whole system.
 type Ctx struct {
 	s      *Session
+	m      *hm.Machine // nil in native mode
 	core   int
 	anchor *hm.Cache // nil in native mode
 	st     *strand   // nil in native mode
@@ -21,23 +22,33 @@ type Ctx struct {
 
 // ---- memory access ----
 
-// LoadU loads the word at address a, charging one virtual operation.
+// LoadU loads the word at address a, charging one virtual operation.  A
+// simulated access is this one call: the budget decrement (charge) and the
+// machine's fast path (TryLoad) inline into it, and only a round boundary
+// (chargeSlow) or an access the fast path refuses (Machine.Load) calls
+// further (make inline-check).
 func (c *Ctx) LoadU(a Addr) uint64 {
-	if c.st != nil {
-		c.st.charge(1)
-		return c.s.mach.Load(c.core, a)
+	if c.st == nil {
+		return c.s.nmem.load(a)
 	}
-	return c.s.nmem.load(a)
+	c.st.charge(1)
+	if v, ok := c.m.TryLoad(c.core, a); ok {
+		return v
+	}
+	return c.m.Load(c.core, a)
 }
 
-// StoreU stores v at address a, charging one virtual operation.
+// StoreU stores v at address a, charging one virtual operation, as LoadU
+// loads.
 func (c *Ctx) StoreU(a Addr, v uint64) {
-	if c.st != nil {
-		c.st.charge(1)
-		c.s.mach.Store(c.core, a, v)
+	if c.st == nil {
+		c.s.nmem.store(a, v)
 		return
 	}
-	c.s.nmem.store(a, v)
+	c.st.charge(1)
+	if !c.m.TryStore(c.core, a, v) {
+		c.m.Store(c.core, a, v)
+	}
 }
 
 // LoadF / StoreF are float64 views.

@@ -288,7 +288,7 @@ func (e *engine) newStrand(core int, anchor *hm.Cache, jn *join, fn func(*Ctx), 
 		st.ctx.core, st.ctx.anchor = core, anchor
 	} else {
 		st = &strand{eng: e, core: core, anchor: anchor, fn: fn, jn: jn}
-		st.ctx = &Ctx{s: e.s, core: core, anchor: anchor, st: st}
+		st.ctx = &Ctx{s: e.s, m: e.m, core: core, anchor: anchor, st: st}
 		st.next, st.stop = pull(st.main)
 		e.strands = append(e.strands, st)
 	}
@@ -771,8 +771,8 @@ func (st *strand) suspend(msg yieldMsg) {
 }
 
 // charge consumes n operations of the strand's budget.  The decrement is
-// the whole fast path and inlines into LoadU/StoreU/Tick; quantum
-// exhaustion goes through chargeSlow.
+// the whole fast path and inlines into LoadU, StoreU and Tick (make
+// inline-check); quantum exhaustion goes through chargeSlow.
 func (st *strand) charge(n int64) {
 	st.budget -= n
 	if st.budget <= 0 {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"oblivhm/internal/core"
@@ -31,13 +30,7 @@ import (
 func Machine(name string) (hm.Config, error) {
 	cfg, ok := hm.Presets()[name]
 	if !ok {
-		var names []string
-		//oblivcheck:allow determinism: key collection for an error message — sorted below
-		for n := range hm.Presets() {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return hm.Config{}, fmt.Errorf("unknown machine %q (have %s)", name, strings.Join(names, ", "))
+		return hm.Config{}, fmt.Errorf("unknown machine %q (have %s)", name, strings.Join(hm.PresetNames(), ", "))
 	}
 	return cfg, nil
 }

@@ -18,6 +18,7 @@ package hm
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -239,4 +240,16 @@ func Presets() map[string]Config {
 		"hm4":  HM4(4, 4),
 		"hm5":  HM5(2, 4, 4),
 	}
+}
+
+// PresetNames returns the names of Presets in sorted order, for usage
+// lines and unknown-machine errors.
+func PresetNames() []string {
+	var names []string
+	//oblivcheck:allow determinism: key collection — sorted below
+	for n := range Presets() {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -1,6 +1,7 @@
 package hm
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
@@ -9,6 +10,20 @@ func TestPresetsValidate(t *testing.T) {
 	for name, cfg := range Presets() {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("preset %s invalid: %v", name, err)
+		}
+	}
+}
+
+// TestPresetNamesListsEveryPreset: the sorted list behind hmsim's usage
+// and the unknown-machine errors names every preset once.
+func TestPresetNamesListsEveryPreset(t *testing.T) {
+	names := PresetNames()
+	if !sort.StringsAreSorted(names) || len(names) != len(Presets()) {
+		t.Fatalf("PresetNames() = %v: want the %d presets, sorted", names, len(Presets()))
+	}
+	for name := range Presets() {
+		if i := sort.SearchStrings(names, name); i == len(names) || names[i] != name {
+			t.Errorf("PresetNames() = %v lacks %q", names, name)
 		}
 	}
 }

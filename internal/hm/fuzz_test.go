@@ -16,8 +16,9 @@ package hm
 // value stored before it must still read back.  A twin Machine runs the
 // same stream inside Begin…Sync windows, beginning again after every
 // operation that syncs it, and must load the same words and end with the
-// same counters.  The seed corpus runs under `go test ./...`; `make fuzz`
-// fuzzes it.
+// same counters; it issues each access as core.Ctx does, through the
+// fast path first (TryLoad, TryStore) and the full path when that refuses.
+// The seed corpus runs under `go test ./...`; `make fuzz` fuzzes it.
 
 import (
 	"math/rand"
@@ -44,7 +45,7 @@ func FuzzMachine(f *testing.F) {
 		}
 		ref := newRefMachine(cfg)
 		tw := MustMachine(cfg) // the twin, walking behind its window
-		tw.Begin()
+		begin(t, tw)
 		top := cfg.Levels[len(cfg.Levels)-1].Capacity
 		span := cfg.Levels[0].Capacity << uint(rng.Intn(3))
 		for span < top*4 && rng.Intn(2) == 0 {
@@ -128,14 +129,14 @@ func FuzzMachine(f *testing.F) {
 				if rng.Intn(3) == 0 {
 					v := rng.Uint64()
 					m.Store(core, a, v)
-					tw.Store(core, a, v)
+					store(tw, core, a, v)
 					mem[a] = v
 					ref.access(core, a, true)
 				} else {
 					if got := m.Load(core, a); got != mem[a] {
 						t.Fatalf("step %d: core %d load %d = %d, want %d", step, core, a, got, mem[a])
 					}
-					if got := tw.Load(core, a); got != mem[a] {
+					if got := load(tw, core, a); got != mem[a] {
 						t.Fatalf("step %d: the twin's core %d load %d = %d, want %d", step, core, a, got, mem[a])
 					}
 					ref.access(core, a, false)

@@ -13,12 +13,15 @@ type Addr int64
 // from one goroutine at a time (the core engine serialises simulated cores),
 // so Machine does no locking.
 //
-// Inside a Begin…Sync window (core opens one per run) the cache walk may run
-// on a walker goroutine of its own (walker.go): Load and Store then return
+// Inside a Begin…Sync window (core opens one per run) every access appends
+// a record to a batch, and full batches are applied on a walker goroutine
+// when a CPU is free, on the caller's otherwise (walker.go).  TryLoad and
+// TryStore, the fast path core takes first, and Load and Store then return
 // before the caches have seen the access.  Stats, ResetStats, FlushCaches
 // and InjectCacheFault call Sync first, so their counts are exact; a direct
-// read of a cache's Stats is current outside a window and after Stats or
-// Sync.  A Machine that is never begun walks on the caller's goroutine.
+// read of a cache's Stats or of Accesses is current outside a window and
+// after Stats or Sync.  A Machine that is never begun walks on the
+// caller's goroutine.
 type Machine struct {
 	Cfg Config
 
@@ -50,8 +53,8 @@ type Machine struct {
 	ownMask [][]uint64
 
 	// The fields above are what the walker reads; the ones below are
-	// written by Load and Store on every access, so the pad keeps them off
-	// the walker's cache lines.
+	// written on every access, so the pad keeps them off the walker's
+	// cache lines.
 	_ [64]byte
 
 	// mem holds the shared memory in pages of memPageWords words, each
@@ -64,18 +67,21 @@ type Machine struct {
 	// the access stream (tracecap.go) for the data-obliviousness harness.
 	trace *traceCap
 
-	// Window state (walker.go): open between Begin and Sync; cur, while
-	// non-nil, is the batch Load and Store append their n records to.
-	open bool
-	cur  *batch
-	n    int
-	wk   *walker
+	// Window state (walker.go): cur, non-nil between Begin and Sync, is
+	// the batch the accesses append their n records to, and the fast path
+	// appends while n < lim (gate).
+	cur    *batch
+	n, lim int
+	wk     *walker
 
 	// Steps is advanced by the engine (virtual time); kept here so stats
 	// snapshots carry both time and traffic.
 	Steps int64
 
-	Accesses int64 // total loads+stores issued
+	// Accesses counts the loads and stores issued.  Inside a window it
+	// lags by the records of the current batch, which are added at the
+	// batch's hand-off and at Sync.
+	Accesses int64
 
 	// Faults counts transient cache faults injected by InjectCacheFault
 	// (core.WithFailures).  Not reset by ResetStats: a fault is a machine
@@ -319,8 +325,37 @@ func (m *Machine) invalidateOffPath(core int, a Addr) {
 	}
 }
 
+// TryLoad is Load's fast path, for the engine's accesses inside a window.
+// When the window records with room left in its batch (n < lim: no trace
+// capture runs) and a lies inside the heap, it appends the access's record
+// and returns the word and true.  Otherwise it does nothing and returns
+// false, and the caller calls Load.  It makes no call, so it inlines into
+// its caller (make inline-check).
+func (m *Machine) TryLoad(core int, a Addr) (uint64, bool) {
+	if m.n >= m.lim || uint64(a) >= uint64(m.heap) {
+		return 0, false
+	}
+	m.cur[m.n] = record(core, a, false)
+	m.n++
+	return m.mem[a>>memPageShift][a&memPageMask], true
+}
+
+// TryStore is Store's fast path, under TryLoad's rule: it writes v and
+// records the access, or does nothing and returns false.
+func (m *Machine) TryStore(core int, a Addr, v uint64) bool {
+	if m.n >= m.lim || uint64(a) >= uint64(m.heap) {
+		return false
+	}
+	m.cur[m.n] = record(core, a, true)
+	m.n++
+	m.mem[a>>memPageShift][a&memPageMask] = v
+	return true
+}
+
 // Load reads the word at a on behalf of core.  Out-of-heap addresses panic
 // with a typed *AddressError (recovered into a RunError by the engine).
+// Inside a window it records the access, handing a full batch off first;
+// outside one it walks the caches.
 func (m *Machine) Load(core int, a Addr) uint64 {
 	if uint64(a) >= uint64(m.heap) {
 		panic(&AddressError{Core: core, Addr: a, Heap: int64(m.heap)})
@@ -328,10 +363,10 @@ func (m *Machine) Load(core int, a Addr) uint64 {
 	if t := m.trace; t != nil {
 		t.note(core, a, false)
 	}
-	m.Accesses++
 	if m.cur != nil {
 		m.push(record(core, a, false))
 	} else {
+		m.Accesses++
 		c1 := m.l1[core]
 		b := int64(a) >> m.shift[0]
 		if s := c1.lookup(b); s != nilSlot {
@@ -344,7 +379,7 @@ func (m *Machine) Load(core int, a Addr) uint64 {
 	return m.mem[a>>memPageShift][a&memPageMask]
 }
 
-// Store writes the word at a on behalf of core.
+// Store writes the word at a on behalf of core, as Load reads it.
 func (m *Machine) Store(core int, a Addr, v uint64) {
 	if uint64(a) >= uint64(m.heap) {
 		panic(&AddressError{Core: core, Addr: a, Write: true, Heap: int64(m.heap)})
@@ -352,10 +387,10 @@ func (m *Machine) Store(core int, a Addr, v uint64) {
 	if t := m.trace; t != nil {
 		t.note(core, a, true)
 	}
-	m.Accesses++
 	if m.cur != nil {
 		m.push(record(core, a, true))
 	} else {
+		m.Accesses++
 		c1 := m.l1[core]
 		b := int64(a) >> m.shift[0]
 		if s := c1.lookup(b); s != nilSlot {

@@ -56,6 +56,7 @@ type TraceDigest struct {
 // initialisation and output verification are not part of the measured trace.
 func (m *Machine) StartTrace() {
 	m.trace = &traceCap{hash: fnvOffset64}
+	m.gate()
 }
 
 // EndTrace stops capturing and returns the digest of the stream since
@@ -63,6 +64,7 @@ func (m *Machine) StartTrace() {
 func (m *Machine) EndTrace() TraceDigest {
 	t := m.trace
 	m.trace = nil
+	m.gate()
 	if t == nil {
 		return TraceDigest{}
 	}

@@ -9,12 +9,12 @@ import (
 // The walker moves a run's cache walk off the engine's goroutine.  The
 // engine charges every access one virtual step, hit or miss, and memory is
 // authoritative, so no loaded value and no scheduling decision reads the
-// caches: they only count.  Between Begin and Sync, Load and Store keep
-// everything a value or an error depends on (the heap check, the trace
-// note, Accesses and the memory word) and append one record per access to
-// a batch.  Full batches are applied in issue order by apply, on a walker
-// goroutine when a CPU is free, so every counter is the one the direct
-// walk produces (DESIGN.md §8).
+// caches: they only count.  Between Begin and Sync, the engine's accesses
+// keep everything a value or an error depends on (the heap check, the
+// trace note and the memory word) and append one record per access to a
+// batch.  Full batches are applied in issue order by apply, on a walker
+// goroutine when a CPU is free and on the engine's otherwise, so every
+// counter is the one the direct walk produces (DESIGN.md §8).
 
 const (
 	// batchWords is the number of records in a batch: 64 KiB.
@@ -37,7 +37,7 @@ type batch [batchWords]uint64
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
 // windows counts the machines inside a window and walkers the walker
-// goroutines running, process-wide, for the CPU rule of handOff.
+// goroutines running, process-wide, for the CPU rule of claimCPU.
 var windows, walkers atomic.Int32
 
 // walker is a running walker goroutine: full carries batches to apply, in
@@ -58,28 +58,37 @@ func record(core int, a Addr, write bool) uint64 {
 	return r
 }
 
-// Begin opens a window.  If a CPU is free for a walker, Load and Store
-// record their accesses from now until Sync instead of walking the
-// caches; otherwise the machine walks directly, as outside a window.
-// Begin inside a window does nothing.
+// Begin opens a window: from now until Sync, every access appends a
+// record to a batch instead of walking the caches.  Begin inside a window
+// does nothing.
 func (m *Machine) Begin() {
-	if m.open {
+	if m.cur != nil {
 		return
 	}
-	m.open = true
 	windows.Add(1)
-	if cpuFree(walkers.Load()) {
-		m.cur, m.n = batchPool.Get().(*batch), 0
+	m.cur, m.n = batchPool.Get().(*batch), 0
+	m.gate()
+}
+
+// gate sets lim, the fast path's bound on n: batchWords while a window
+// records and no trace capture runs, and 0 otherwise, so that TryLoad and
+// TryStore refuse every access the trace must note.
+func (m *Machine) gate() {
+	m.lim = 0
+	if m.cur != nil && m.trace == nil {
+		m.lim = batchWords
 	}
 }
 
 // Sync closes the window: it applies the records still pending, waits for
 // the walker and stops it, and returns the batches to the pool.  Outside a
-// window it does nothing.  Every cache counter is current afterwards.
+// window it does nothing.  Every cache counter and Accesses are current
+// afterwards.
 func (m *Machine) Sync() {
-	if !m.open {
+	if m.cur == nil {
 		return
 	}
+	m.Accesses += int64(m.n)
 	if w := m.wk; w != nil {
 		w.full <- m.cur[:m.n]
 		close(w.full)
@@ -89,34 +98,36 @@ func (m *Machine) Sync() {
 		}
 		m.wk = nil
 		walkers.Add(-1)
-	} else if m.cur != nil {
+	} else {
 		m.apply(m.cur[:m.n])
 		batchPool.Put(m.cur)
 	}
 	m.cur, m.n = nil, 0
-	m.open = false
+	m.gate()
 	windows.Add(-1)
 }
 
-// push appends a record to the current batch, handing the batch off when
-// it is full.
+// push appends a record to the current batch, handing the batch off first
+// when it is full.  The fast path fills a batch up to its last slot and
+// leaves the hand-off to the next push or to Sync.
 func (m *Machine) push(r uint64) {
-	m.cur[m.n] = r
-	if m.n++; m.n == batchWords {
+	if m.n == batchWords {
 		m.handOff()
 	}
+	m.cur[m.n] = r
+	m.n++
 }
 
-// handOff passes a full batch on.  At the window's first full batch it
-// starts a walker if a CPU is still free.  Otherwise it applies the batch
-// itself and the machine walks directly until Sync, which costs the
-// direct walk one branch per access.
+// handOff passes a full batch on and counts its accesses.  With no walker
+// running it starts one if a CPU is free; otherwise it applies the batch
+// itself and the window goes on recording into the same batch, so a
+// later full batch may still start a walker.
 func (m *Machine) handOff() {
+	m.Accesses += batchWords
 	if m.wk == nil {
 		if !claimCPU() {
 			m.apply(m.cur[:])
-			batchPool.Put(m.cur)
-			m.cur, m.n = nil, 0
+			m.n = 0
 			return
 		}
 		// Both channels hold every batch of the window, so no send on
@@ -138,18 +149,13 @@ func (m *Machine) handOff() {
 	m.cur, m.n = <-m.wk.free, 0
 }
 
-// cpuFree reports whether a CPU is free for one more walker: whether the
-// machines inside a window plus the given number of running walkers are
-// fewer than GOMAXPROCS.
-func cpuFree(running int32) bool {
-	return int(windows.Load()+running) < runtime.GOMAXPROCS(0)
-}
-
-// claimCPU counts a new walker in if a CPU is free for it.
+// claimCPU counts a new walker in if a CPU is free for it: if the
+// machines inside a window plus the running walkers are fewer than
+// GOMAXPROCS.
 func claimCPU() bool {
 	for {
 		n := walkers.Load()
-		if !cpuFree(n) {
+		if int(windows.Load()+n) >= runtime.GOMAXPROCS(0) {
 			return false
 		}
 		if walkers.CompareAndSwap(n, n+1) {

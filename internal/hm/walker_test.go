@@ -7,14 +7,56 @@ import (
 	"testing"
 )
 
+// load and store issue an access as core.Ctx does: the fast path first,
+// the full path when it refuses.
+func load(m *Machine, core int, a Addr) uint64 {
+	if v, ok := m.TryLoad(core, a); ok {
+		return v
+	}
+	return m.Load(core, a)
+}
+
+func store(m *Machine, core int, a Addr, v uint64) {
+	if !m.TryStore(core, a, v) {
+		m.Store(core, a, v)
+	}
+}
+
+// begin opens m's window and closes it when the test ends, so a test that
+// fails inside a window leaves no window open for the next one.
+func begin(t *testing.T, m *Machine) {
+	m.Begin()
+	t.Cleanup(m.Sync)
+}
+
+// sameCounts fails unless every cache of the two machines has the same
+// Stats and Resident() and the machines the same Accesses; it reads the
+// fields directly, without syncing.
+func sameCounts(t *testing.T, when string, d, w *Machine) {
+	t.Helper()
+	if d.Accesses != w.Accesses {
+		t.Fatalf("%s: accesses direct %d, windowed %d", when, d.Accesses, w.Accesses)
+	}
+	for i, level := range d.ByLevel {
+		for j, c := range level {
+			wc := w.ByLevel[i][j]
+			if c.Stats != wc.Stats || c.Resident() != wc.Resident() {
+				t.Fatalf("%s: L%d[%d] direct %+v (%d resident), windowed %+v (%d resident)",
+					when, i+1, j, c.Stats, c.Resident(), wc.Stats, wc.Resident())
+			}
+		}
+	}
+}
+
 // TestWalkerMatchesDirect: on every preset, a seeded stream of loads and
 // stores from every core, nine batches long, runs through twin machines.
 // One walks directly; the other runs inside Begin…Sync windows with two
-// CPUs, so its walker runs even on a one-CPU host.  Mid-stream both grow
-// the heap, take a cache fault and have their Stats read, the last two
-// syncing the windowed twin, which then begins again.  Every load must
-// read the same word, and at each sync and at the end every cache's Stats
-// and Resident(), the Snapshot and every word of the heap must agree.
+// CPUs, so its walker runs even on a one-CPU host, and issues each access
+// through the fast path first, as core.Ctx does.  Mid-stream both grow the
+// heap, take a cache fault and have their Stats read, the last two syncing
+// the windowed twin, which then begins again.  Every load must read the
+// same word, and at each sync and at the end every cache's Stats and
+// Resident(), the Snapshot and every word of the heap must agree.
 func TestWalkerMatchesDirect(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, name := range []string{"seq", "mc3", "mc3a", "hm4", "hm5"} {
@@ -49,8 +91,8 @@ func TestWalkerMatchesDirect(t *testing.T) {
 					if rng.Intn(3) == 0 {
 						v := rng.Uint64()
 						d.Store(core, a, v)
-						w.Store(core, a, v)
-					} else if x, y := d.Load(core, a), w.Load(core, a); x != y {
+						store(w, core, a, v)
+					} else if x, y := d.Load(core, a), load(w, core, a); x != y {
 						t.Fatalf("core %d load %d: direct %d, walker %d", core, a, x, y)
 					}
 				}
@@ -63,15 +105,7 @@ func TestWalkerMatchesDirect(t *testing.T) {
 				if ds, ws := d.Stats(), w.Stats(); !reflect.DeepEqual(ds, ws) {
 					t.Fatalf("%s: snapshot direct %v, walker %v", when, ds, ws)
 				}
-				for i, level := range d.ByLevel {
-					for j, c := range level {
-						wc := w.ByLevel[i][j]
-						if c.Stats != wc.Stats || c.Resident() != wc.Resident() {
-							t.Fatalf("%s: L%d[%d] direct %+v (%d resident), walker %+v (%d resident)",
-								when, i+1, j, c.Stats, c.Resident(), wc.Stats, wc.Resident())
-						}
-					}
-				}
+				sameCounts(t, when, d, w)
 				for a := Addr(0); a < Addr(d.HeapWords()); a++ {
 					if d.Peek(a) != w.Peek(a) {
 						t.Fatalf("%s: word %d: direct %d, walker %d", when, a, d.Peek(a), w.Peek(a))
@@ -80,7 +114,7 @@ func TestWalkerMatchesDirect(t *testing.T) {
 			}
 
 			grow()
-			w.Begin()
+			begin(t, w)
 			stream(2*batchWords + 100)
 			grow()
 			stream(2*batchWords + 200)
@@ -102,78 +136,200 @@ func TestWalkerMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestWalkerTakesOnlyAFreeCPU pins the CPU rule of Begin and handOff: a
-// window records, and its first full batch starts a walker, only while the
-// machines inside a window plus the running walkers are fewer than
-// GOMAXPROCS; a window shorter than one batch applies its records at Sync
-// without starting one.
+// TestFastPath pins the edges of TryLoad and TryStore against a machine
+// that walks directly: a trace capture inside a window, the heap's end and
+// a batch the fast path fills to its last slot.
+func TestFastPath(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 1 << 12
+	t.Run("a trace inside a window", func(t *testing.T) {
+		d, w := MustMachine(MC3(8)), MustMachine(MC3(8))
+		a := d.Alloc(n)
+		w.Alloc(n)
+		begin(t, w)
+		both := func(k int) {
+			for i := 0; i < k; i++ {
+				core, x := i%d.Cores(), a+Addr(i*7%(n-1))
+				d.Store(core, x, uint64(i))
+				store(w, core, x, uint64(i))
+				if y, z := d.Load(core, x+1), load(w, core, x+1); y != z {
+					t.Fatalf("load %d: direct %d, windowed %d", x+1, y, z)
+				}
+			}
+		}
+		both(100)
+		d.StartTrace()
+		w.StartTrace()
+		if _, ok := w.TryLoad(0, a); ok {
+			t.Fatal("the fast path took a load while a trace capture runs")
+		}
+		if w.TryStore(0, a, 1) {
+			t.Fatal("the fast path took a store while a trace capture runs")
+		}
+		both(batchWords)
+		if dd, wd := d.EndTrace(), w.EndTrace(); dd != wd || dd.Accesses != 2*batchWords {
+			t.Fatalf("digest direct %+v, windowed %+v; want %d accesses", dd, wd, 2*batchWords)
+		}
+		if _, ok := w.TryLoad(0, a); !ok {
+			t.Fatal("the fast path refused a load after EndTrace")
+		}
+		d.Load(0, a)
+		both(100)
+		w.Sync()
+		sameCounts(t, "at Sync", d, w)
+	})
+	t.Run("the heap's end", func(t *testing.T) {
+		d, w := MustMachine(HM4(4, 4)), MustMachine(HM4(4, 4))
+		end := d.Alloc(n) + n
+		w.Alloc(n)
+		begin(t, w)
+		if _, ok := w.TryLoad(1, end); ok {
+			t.Fatal("the fast path took a load at the heap's end")
+		}
+		if w.TryStore(1, end, 1) {
+			t.Fatal("the fast path took a store at the heap's end")
+		}
+		if _, ok := w.TryLoad(1, end-1); !ok {
+			t.Fatal("the fast path refused a load of the heap's last word")
+		}
+		d.Load(1, end-1)
+		for _, write := range []bool{false, true} {
+			msg := func(m *Machine) (s string) {
+				defer func() {
+					e, ok := recover().(*AddressError)
+					if !ok {
+						t.Fatalf("write %v at the heap's end: no *AddressError", write)
+					}
+					s = e.Error()
+				}()
+				if write {
+					store(m, 1, end, 1)
+				} else {
+					load(m, 1, end)
+				}
+				return ""
+			}
+			if x, y := msg(d), msg(w); x != y {
+				t.Fatalf("direct %q, windowed %q", x, y)
+			}
+		}
+		w.Sync()
+		sameCounts(t, "at Sync", d, w)
+	})
+	t.Run("a batch filled to its last slot", func(t *testing.T) {
+		d, w := MustMachine(MC3(8)), MustMachine(MC3(8))
+		a := d.Alloc(n)
+		w.Alloc(n)
+		begin(t, w)
+		for i := 0; i < batchWords; i++ {
+			core, x := i%d.Cores(), a+Addr(i%n)
+			d.Store(core, x, uint64(i))
+			if !w.TryStore(core, x, uint64(i)) {
+				t.Fatalf("the fast path refused access %d of %d", i, batchWords)
+			}
+		}
+		if w.n != batchWords || w.wk != nil || w.Accesses != 0 {
+			t.Fatalf("after one batch: %d records, walker %v, %d accesses counted; want %d, false, 0",
+				w.n, w.wk != nil, w.Accesses, batchWords)
+		}
+		if _, ok := w.TryLoad(0, a); ok {
+			t.Fatal("the fast path took a load into a full batch")
+		}
+		if x, y := d.Load(0, a), w.Load(0, a); x != y {
+			t.Fatalf("load %d: direct %d, windowed %d", a, x, y)
+		}
+		if w.n != 1 || w.Accesses != batchWords {
+			t.Fatalf("after the hand-off: %d records, %d accesses; want 1, %d", w.n, w.Accesses, batchWords)
+		}
+		w.Sync()
+		sameCounts(t, "at Sync", d, w)
+	})
+	if k := walkers.Load() + windows.Load(); k != 0 {
+		t.Fatalf("%d walkers or windows left open", k)
+	}
+}
+
+// TestWalkerTakesOnlyAFreeCPU pins the CPU rule of handOff.  Every window
+// records; a full batch starts a walker only while the machines inside a
+// window plus the running walkers are fewer than GOMAXPROCS, and is
+// otherwise applied on the caller's goroutine, the window recording on.  A
+// window shorter than one batch applies its records at Sync.  Each case
+// ends with the counts of a machine that walked the same stream directly.
 func TestWalkerTakesOnlyAFreeCPU(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n = 1 << 16
-	fill := func(m *Machine, a Addr, words int) {
+	// fill issues words stores to m and to its direct twin d.
+	fill := func(m, d *Machine, a Addr, words int) {
 		for i := 0; i < words; i++ {
-			m.Store(i%m.Cores(), a+Addr(i%n), uint64(i))
+			core, x := i%m.Cores(), a+Addr(i%n)
+			store(m, core, x, uint64(i))
+			d.Store(core, x, uint64(i))
 		}
 	}
-	t.Run("one CPU walks directly", func(t *testing.T) {
-		m := MustMachine(HM4(4, 4))
-		a := m.Alloc(n)
-		m.Begin()
-		if m.cur != nil {
-			t.Fatal("GOMAXPROCS 1: the window records; want the direct walk")
-		}
-		fill(m, a, batchWords+1)
-		if m.wk != nil || m.cur != nil {
-			t.Fatalf("GOMAXPROCS 1: walker %v, batch %v; want the direct walk", m.wk != nil, m.cur != nil)
-		}
+	twins := func(t *testing.T) (m, d *Machine, a Addr) {
+		m, d = MustMachine(HM4(4, 4)), MustMachine(HM4(4, 4))
+		a = m.Alloc(n)
+		d.Alloc(n)
+		begin(t, m)
+		return m, d, a
+	}
+	synced := func(t *testing.T, m, d *Machine) {
+		t.Helper()
 		m.Sync()
+		sameCounts(t, "at Sync", d, m)
+	}
+	t.Run("one CPU applies batches inline", func(t *testing.T) {
+		m, d, a := twins(t)
+		if m.cur == nil {
+			t.Fatal("GOMAXPROCS 1: the window does not record")
+		}
+		fill(m, d, a, 2*batchWords+1)
+		if m.wk != nil || m.cur == nil {
+			t.Fatalf("GOMAXPROCS 1: walker %v, recording %v; want no walker, recording", m.wk != nil, m.cur != nil)
+		}
+		if m.ByLevel[0][0].Stats.Misses == 0 {
+			t.Fatal("GOMAXPROCS 1: the full batches were not applied")
+		}
+		synced(t, m, d)
 	})
 	runtime.GOMAXPROCS(2)
 	t.Run("a short window starts nothing", func(t *testing.T) {
-		m := MustMachine(HM4(4, 4))
-		a := m.Alloc(n)
-		m.Begin()
-		fill(m, a, batchWords-1)
+		m, d, a := twins(t)
+		fill(m, d, a, batchWords-1)
 		if m.wk != nil || m.ByLevel[0][0].Stats.Misses != 0 {
 			t.Fatal("a window shorter than one batch walked before Sync")
 		}
-		m.Sync()
-		if m.ByLevel[0][0].Stats.Misses == 0 {
-			t.Fatal("Sync did not apply the pending records")
-		}
+		synced(t, m, d)
 	})
-	t.Run("a second machine walks directly", func(t *testing.T) {
-		m1, m2 := MustMachine(HM4(4, 4)), MustMachine(HM4(4, 4))
-		a1, a2 := m1.Alloc(n), m2.Alloc(n)
-		m1.Begin()
-		fill(m1, a1, batchWords+1)
+	t.Run("a second machine records beside a walker", func(t *testing.T) {
+		m1, d1, a1 := twins(t)
+		fill(m1, d1, a1, batchWords+1)
 		if m1.wk == nil {
 			t.Fatal("two CPUs and one window: no walker started")
 		}
-		m2.Begin()
-		if m2.cur != nil {
-			t.Fatal("the second machine records while the first one's walker runs")
+		m2, d2, a2 := twins(t)
+		fill(m2, d2, a2, 2*batchWords+1)
+		if m2.wk != nil || m2.cur == nil {
+			t.Fatalf("beside a walker: walker %v, recording %v; want no walker, recording", m2.wk != nil, m2.cur != nil)
 		}
-		fill(m2, a2, batchWords+1)
-		if m2.wk != nil || m2.cur != nil {
-			t.Fatal("the second machine started a walker while the first one's ran")
-		}
-		m2.Sync()
-		m1.Sync()
+		synced(t, m2, d2)
+		synced(t, m1, d1)
 	})
-	t.Run("a CPU taken after Begin walks directly", func(t *testing.T) {
-		m1, m2 := MustMachine(HM4(4, 4)), MustMachine(HM4(4, 4))
-		a1 := m1.Alloc(n)
-		m1.Begin()
-		m2.Begin()
-		fill(m1, a1, batchWords+1)
-		if m1.wk != nil || m1.cur != nil {
+	t.Run("a walker starts once a CPU frees up", func(t *testing.T) {
+		m1, d1, a1 := twins(t)
+		m2, _, _ := twins(t)
+		fill(m1, d1, a1, batchWords+1)
+		if m1.wk != nil {
 			t.Fatal("a machine started a walker with both CPUs inside windows")
 		}
 		m2.Sync()
-		m1.Sync()
+		fill(m1, d1, a1, batchWords)
+		if m1.wk == nil {
+			t.Fatal("no walker started at the full batch after a CPU freed up")
+		}
+		synced(t, m1, d1)
 	})
-	if n := walkers.Load() + windows.Load(); n != 0 {
-		t.Fatalf("%d walkers or windows left open", n)
+	if k := walkers.Load() + windows.Load(); k != 0 {
+		t.Fatalf("%d walkers or windows left open", k)
 	}
 }

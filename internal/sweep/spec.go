@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -212,8 +211,7 @@ func (s *Spec) Validate() error {
 	presets := hm.Presets()
 	if err := uniqueStrings("machines", s.Machines, func(i int, v string) error {
 		if _, ok := presets[v]; !ok {
-			names := presetNames(presets)
-			return specErrf(field("machines", i), "unknown machine preset %q (have %s)", v, strings.Join(names, ", "))
+			return specErrf(field("machines", i), "unknown machine preset %q (have %s)", v, strings.Join(hm.PresetNames(), ", "))
 		}
 		return nil
 	}); err != nil {
@@ -448,14 +446,4 @@ func uniqueStrings(axis string, vals []string, check func(int, string) error) er
 		seen[v] = true
 	}
 	return nil
-}
-
-func presetNames(presets map[string]hm.Config) []string {
-	var names []string
-	//oblivcheck:allow determinism: key collection for an error message — sorted below
-	for n := range presets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
