@@ -40,13 +40,17 @@ trace-check:
 # Machine.TryLoad or TryStore.  In internal/core the budget decrement
 # (strand.charge) and the element accessors must inline into their callers,
 # and Ctx.LoadU and StoreU must inline the fast path, so that a simulated
-# access from algorithm code is one call.  Fail, naming the function,
+# access from algorithm code is one call; and a lockstep turn (runCore)
+# reaches the strand's coroutine with no engine call, through deque.front,
+# the batched-grant decision (engine.grant), strand.resume and
+# failInj.account, which must inline.  Fail, naming the function,
 # when the compiler no longer reports one of INLINE_FUNCS as inlinable, or
 # no longer inlines the callee of a caller:callee pair of INLINE_CALLS at
 # its calls inside the caller in internal/core/ctx.go.
 INLINE_FUNCS = '(*Cache).lookup' '(*Cache).touch' '(*Machine).push' 'record' '(*Machine).write' \
 	'(*Machine).TryLoad' '(*Machine).TryStore' \
-	'(*strand).charge' 'Mat.At' 'Mat.Set' 'F64.At' 'F64.Set' 'I64.At' 'I64.Set' 'U64.At' 'U64.Set'
+	'(*strand).charge' 'Mat.At' 'Mat.Set' 'F64.At' 'F64.Set' 'I64.At' 'I64.Set' 'U64.At' 'U64.Set' \
+	'(*deque).front' '(*engine).grant' '(*strand).resume' '(*failInj).account'
 INLINE_CALLS = LoadU:TryLoad StoreU:TryStore
 inline-check:
 	@out="$$($(GO) build -gcflags=-m ./internal/hm ./internal/core 2>&1)" || { echo "$$out" >&2; exit 1; }; \
@@ -77,11 +81,12 @@ lint: vet oblivcheck
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One-iteration pass over the E-series, round-loop, per-access and hm
-# cache-walk benches: a cheap crash gate, not a timing run.
+# One-iteration pass over the E-series, round-loop, per-access, coroutine
+# round-trip and hm cache-walk benches: a cheap crash gate, not a timing run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'E[0-9]' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'RoundLoop|CtxAccess' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'PullRoundTrip' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'Machine' -benchtime 1x ./internal/hm
 
 # The benchmark module (bench/, its own go.mod) builds against the simulator

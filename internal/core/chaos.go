@@ -79,7 +79,7 @@ func (c *chaos) budget(quantum int64) int64 {
 }
 
 // noBatch reports whether a solo strand loses its batched grant, with
-// probability 1/2 under chaos.  runStrand asks only when the grant could
+// probability 1/2 under chaos.  soloGrant asks only when the grant could
 // batch at all.
 func (c *chaos) noBatch() bool { return c != nil && c.coin(2) }
 

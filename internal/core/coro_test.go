@@ -99,3 +99,19 @@ func TestRunsStopEveryStrand(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkPullRoundTrip is one bare resume/yield round trip through pull:
+// the coroutine switch every lockstep turn makes, and so the floor under a
+// turn's cost (DESIGN.md §6).  ns/op is ns per round trip.
+func BenchmarkPullRoundTrip(b *testing.B) {
+	next, stop := pull(func(yield func(yieldMsg) bool) {
+		for yield(yieldMsg{kind: yBudget}) {
+		}
+	})
+	defer stop()
+	for i := 0; i < b.N; i++ {
+		if _, ok := next(); !ok {
+			b.Fatal("the coroutine stopped")
+		}
+	}
+}

@@ -22,8 +22,9 @@ import (
 // shortcuts on the hot path (DESIGN.md §6):
 //
 //   - Batched budgets: when a strand is the only runnable strand anywhere
-//     (e.nrun == 0 after it is popped), interleaving cannot be observed, so
-//     the grant carries an effectively unbounded number of whole rounds.
+//     (e.nrun == 1, counting itself: a running strand stays at its queue's
+//     front), interleaving cannot be observed, so the grant carries an
+//     effectively unbounded number of whole rounds.
 //     The strand commits round boundaries locally in charge() — bumping the
 //     clock and refilling its quantum without a coroutine switch — and the
 //     batch is truncated at the next boundary as soon as the strand makes
@@ -44,17 +45,18 @@ import (
 // # Modes
 //
 // Each scheduling decision is made in one engine method: a core's round
-// budget (runCore), a solo strand's batched grant (runStrand), Q(λ)
-// admission (admit), and the tie-break of a placement or steal
-// (leastLoadedCore, leastLoadedSlot, stealFor).  The modes perturb only
-// those, through nil-safe methods in their own files: chaos.go randomises
-// them, failures.go kills and slows cores under them.  A nil *chaos or
-// *failInj is the mode off: the deterministic decision, no draw.
+// budget (runCore), a solo strand's batched grant (grant), Q(λ) admission
+// (admit), and the tie-break of a placement or steal (leastLoadedCore,
+// leastLoadedSlot, stealFor).  The modes perturb only those, through
+// nil-safe methods in their own files: chaos.go randomises them,
+// failures.go kills and slows cores under them.  A nil *chaos or *failInj
+// is the mode off: the deterministic decision, no draw.
 
 type yieldKind int
 
 const (
-	yBudget  yieldKind = iota // budget exhausted, still runnable
+	yStopped yieldKind = iota // the zero message of a stopped coroutine: an engine bug
+	yBudget                   // budget exhausted, still runnable
 	yBlocked                  // parked on a join or a cache queue
 	yDone                     // function returned (or panicked)
 )
@@ -126,9 +128,10 @@ type pending struct {
 	label string
 }
 
-// deque is a per-core run queue: strands leave at the front, join at the
-// back, and a strand that exhausted its round budget is put back at the
-// front without reallocating (the seed engine re-sliced on every round).
+// deque is a per-core run queue: strands join at the back and run at the
+// front, where a strand that exhausts its round budget stays for the next
+// round; one that blocks or finishes leaves (the seed engine re-sliced the
+// queue on every round).
 type deque struct {
 	buf  []*strand
 	head int
@@ -146,19 +149,6 @@ func (d *deque) front() *strand {
 }
 
 func (d *deque) pushBack(st *strand) { d.buf = append(d.buf, st) }
-
-func (d *deque) pushFront(st *strand) {
-	if d.head > 0 {
-		d.head--
-		d.buf[d.head] = st
-		return
-	}
-	if len(d.buf) == 0 {
-		d.buf = append(d.buf, st) // reuses the retained capacity
-		return
-	}
-	d.buf = append([]*strand{st}, d.buf...)
-}
 
 func (d *deque) popFront() *strand {
 	if d.empty() {
@@ -333,13 +323,7 @@ func (e *engine) untrackBlocked(st *strand) {
 	st.blockIdx = -1
 }
 
-// requeueFront puts a strand that exhausted its round budget back at the
-// front of its queue (run-to-completion order within the core).
-func (e *engine) requeueFront(st *strand) {
-	e.runq[st.core].pushFront(st)
-	e.nrun++
-}
-
+// pop removes the strand at the front of core's queue.
 func (e *engine) pop(core int) *strand {
 	st := e.runq[core].popFront()
 	if st != nil {
@@ -490,12 +474,18 @@ func (e *engine) forensics() DeadlockReport {
 }
 
 // runCore gives core c its turn in the current round: up to quantum
-// operations shared by the strands of its queue in order.
+// operations shared by the strands of its queue in order.  Each strand
+// runs where it stands, at the queue's front: one that uses up its budget
+// stays there for the next round (run-to-completion order within the
+// core), and one that blocks or finishes leaves.  grant and resume inline,
+// so a turn makes no engine call on its way to the strand's coroutine
+// (make inline-check).
 func (e *engine) runCore(c int) bool {
 	budget := e.fail.coreBudget(c, e.chaos.budget(e.quantum))
+	q := &e.runq[c]
 	progressed := false
 	for budget > 0 {
-		st := e.pop(c)
+		st := q.front()
 		if st == nil && e.steal {
 			st = e.stealFor(c)
 		}
@@ -503,57 +493,70 @@ func (e *engine) runCore(c int) bool {
 			break
 		}
 		progressed = true
-		budget = e.runStrand(st, budget)
+		rounds := e.grant()
+		e.batchAbort = false
+		st.started = true
+		msg := st.resume(budget, rounds)
+		leftover := st.budget
+		switch msg.kind {
+		case yBudget:
+			leftover = 0 // stays at the front for the next round
+		case yBlocked:
+			e.pop(c)
+			e.trackBlocked(st)
+		case yDone:
+			e.pop(c)
+			// The first strand failure wins.
+			if msg.panicked != nil && e.failErr == nil {
+				e.failErr = &RunError{
+					Core:        st.core,
+					AnchorLevel: st.anchor.Level,
+					AnchorIndex: st.anchor.Index,
+					Label:       st.label,
+					Value:       msg.panicked,
+				}
+			}
+			e.finish(st)
+		default:
+			panic("core: resumed a stopped strand")
+		}
+		e.fail.account(st, budget-leftover)
+		budget = leftover
 	}
 	return progressed
 }
 
-// runStrand grants st up to budget operations and handles its yield,
-// returning the unused budget.  When nothing else is runnable the grant is
-// extended with batchRounds whole rounds (see the package comment).
-func (e *engine) runStrand(st *strand, budget int64) int64 {
-	var rounds int64
+// grant is the batched-grant decision of a turn: the whole rounds it adds
+// to the strand's budget.  A strand that shares the machine with another
+// runnable strand (nrun counts the strand itself, at its queue's front)
+// gets none, which the test here decides without a call, so grant inlines
+// into runCore (make inline-check); a solo strand's grant is soloGrant's.
+func (e *engine) grant() int64 {
+	if e.nrun > 1 {
+		return 0
+	}
+	return e.soloGrant()
+}
+
+// soloGrant is the grant of a strand that is the only runnable one:
+// batchRounds whole rounds (see the package comment), unless a mode keeps
+// the schedule lockstep.
+func (e *engine) soloGrant() int64 {
 	// Failures disable batching entirely: a locally committed batch would
 	// skip the round boundaries failure events fire at.  A no-op plan is
 	// still observably equivalent — batching never changes the schedule.
-	if e.nrun == 0 && !e.reference && e.fail == nil && !e.chaos.noBatch() {
-		rounds = batchRounds
-		// Cap the batch at the watchdog horizon so a livelocked solo strand
-		// returns control to the loop in time to be killed.  Observably
-		// equivalent: truncation is exactly what an enqueue would do, and
-		// runs finishing under budget never hit the cap.  Counted in rounds,
-		// so no budget overflows the clock arithmetic.
-		if rem := e.watchdog - e.clock/e.quantum; e.watchdog > 0 && rem < rounds {
-			rounds = max(rem+1, 1)
-		}
+	if e.reference || e.fail != nil || e.chaos.noBatch() {
+		return 0
 	}
-	e.batchAbort = false
-	st.started = true
-	msg := st.resume(budget, rounds)
-	leftover := st.budget
-	switch msg.kind {
-	case yBudget:
-		// Exhausted its grant; runnable again next round (front of queue
-		// preserves run-to-completion order within the core).
-		e.requeueFront(st)
-		leftover = 0
-	case yBlocked:
-		e.trackBlocked(st)
-	case yDone:
-		// The first strand failure wins.
-		if msg.panicked != nil && e.failErr == nil {
-			e.failErr = &RunError{
-				Core:        st.core,
-				AnchorLevel: st.anchor.Level,
-				AnchorIndex: st.anchor.Index,
-				Label:       st.label,
-				Value:       msg.panicked,
-			}
-		}
-		e.finish(st)
+	// Cap the batch at the watchdog horizon so a livelocked solo strand
+	// returns control to the loop in time to be killed.  Observably
+	// equivalent: truncation is exactly what an enqueue would do, and runs
+	// finishing under budget never hit the cap.  Counted in rounds, so no
+	// budget overflows the clock arithmetic.
+	if rem := e.watchdog - e.clock/e.quantum; e.watchdog > 0 && rem < batchRounds {
+		return max(rem+1, 1)
 	}
-	e.fail.account(st, budget-leftover)
-	return leftover
+	return batchRounds
 }
 
 // finish handles strand completion: join signalling, space release, queue
@@ -726,15 +729,15 @@ func (e *engine) leastLoadedSlot(lambda *hm.Cache, j int) *cacheSlot {
 }
 
 // resume grants st budget operations plus rounds whole batch rounds and runs
-// its coroutine until the strand yields, returning what it yielded.  Every
-// engine-side entry into a strand goes through it; only drain's stop
-// bypasses it.
+// its coroutine until the strand yields, returning what it yielded; a
+// stopped coroutine returns the zero message, yStopped, which both callers
+// refuse.  Every engine-side entry into a strand goes through it, a turn
+// (runCore) and the poison grant (killStrand); only drain's stop bypasses
+// it.  It inlines, so a turn calls nothing of the engine's on its way to
+// the coroutine (make inline-check).
 func (st *strand) resume(budget, rounds int64) yieldMsg {
 	st.budget, st.rounds = budget, rounds
-	msg, ok := st.next()
-	if !ok {
-		panic("core: resumed a stopped strand")
-	}
+	msg, _ := st.next()
 	return msg
 }
 
@@ -818,12 +821,13 @@ func (s *Session) PlacedAt(level int) int {
 
 // stealFor migrates a runnable strand from the most loaded core to the
 // idle core c (the §VII "enhanced scheduler" extension, enabled by
-// WithStealing).  The victim's newest queued strand is taken — its task
-// has not started, so no execution state is lost.  Only the core changes:
-// the anchor (and with it any space reservation and the shadow used by the
-// strand's own CGC loops) stays put, which keeps the space-bound admission
-// discipline deadlock-free — re-anchoring a reservation-holding task
-// upward could let its own children queue behind its reservation.
+// WithStealing) and returns it, at the front of c's empty queue.  The
+// victim's newest queued strand is taken — its task has not started, so no
+// execution state is lost.  Only the core changes: the anchor (and with it
+// any space reservation and the shadow used by the strand's own CGC loops)
+// stays put, which keeps the space-bound admission discipline
+// deadlock-free — re-anchoring a reservation-holding task upward could let
+// its own children queue behind its reservation.
 func (e *engine) stealFor(c int) *strand {
 	// Any core with at least two queued strands is a valid victim (chaos
 	// picks one of them at random); the most loaded one wins otherwise.
@@ -847,7 +851,7 @@ func (e *engine) stealFor(c int) *strand {
 		return nil
 	}
 	e.runq[victim].popBack()
-	e.nrun--
+	e.runq[c].pushBack(st)
 	e.steals++
 	e.move(st, c, EvSteal)
 	return st

@@ -18,10 +18,16 @@ package hm
 // operation that syncs it, and must load the same words and end with the
 // same counters; it issues each access as core.Ctx does, through the
 // fast path first (TryLoad, TryStore) and the full path when that refuses.
+// Inside a window the twin's Accesses must move only at a batch hand-off,
+// by one batch, when an access finds the batch full.  A quiet stream draws
+// no syncing operation, so the twin keeps one window throughout; from
+// 3·batchWords steps on it must cross at least two hand-offs.  The twin
+// gets two CPUs, so its first hand-off starts a walker on any host.
 // The seed corpus runs under `go test ./...`; `make fuzz` fuzzes it.
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -34,9 +40,15 @@ func FuzzMachine(f *testing.F) {
 	// least twice, so each L1's blocks lie in 3 or 4 index pages with empty
 	// ones between: on 12, 16, 6 and 8 cores.
 	for _, seed := range []int64{1, 2, 4, 5, 14, 54, 71, 101, 161, 182, 187, 225, 25, 67, 121, 199} {
-		f.Add(seed, uint16(20000))
+		f.Add(seed, uint16(20000), false)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, steps uint16) {
+	// Quiet streams of 30,000 steps cross three hand-offs behind a walker:
+	// seeds 54 and 101 as above, and 25, which also grows the heap.
+	for _, seed := range []int64{54, 101, 25} {
+		f.Add(seed, uint16(30000), true)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, steps uint16, quiet bool) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 		rng := rand.New(rand.NewSource(seed))
 		cfg := randomConfig(rng)
 		m, err := NewMachine(cfg)
@@ -46,6 +58,24 @@ func FuzzMachine(f *testing.F) {
 		ref := newRefMachine(cfg)
 		tw := MustMachine(cfg) // the twin, walking behind its window
 		begin(t, tw)
+		// inWindow counts the twin's accesses since its window began, when
+		// its Accesses read begun; handOffs counts the hand-offs crossed.
+		var inWindow, handOffs int
+		var begun int64
+		rebegin := func() {
+			tw.Begin()
+			inWindow, begun = 0, tw.Accesses
+		}
+		twinAccessed := func(step int) {
+			inWindow++
+			if inWindow > batchWords && inWindow%batchWords == 1 {
+				handOffs++
+			}
+			if want := begun + int64((inWindow-1)/batchWords*batchWords); tw.Accesses != want {
+				t.Fatalf("step %d: the twin's Accesses read %d after %d accesses in its window, want %d",
+					step, tw.Accesses, inWindow, want)
+			}
+		}
 		top := cfg.Levels[len(cfg.Levels)-1].Capacity
 		span := cfg.Levels[0].Capacity << uint(rng.Intn(3))
 		for span < top*4 && rng.Intn(2) == 0 {
@@ -75,7 +105,11 @@ func FuzzMachine(f *testing.F) {
 		}
 		core := 0
 		for step := 0; step < int(steps); step++ {
-			switch r := rng.Intn(1000); {
+			r := rng.Intn(1000)
+			if quiet && r < 6 {
+				r = 1000 // an access in place of a syncing operation
+			}
+			switch {
 			case r == 6 && len(regions) < 4 && rng.Intn(5) == 0:
 				gap := cfg.Levels[len(cfg.Levels)-1].Block << (13 + uint(rng.Intn(2)))
 				m.Alloc(gap)
@@ -94,12 +128,12 @@ func FuzzMachine(f *testing.F) {
 				m.FlushCaches()
 				ref.flush()
 				tw.FlushCaches()
-				tw.Begin()
+				rebegin()
 			case r < 3:
 				m.ResetStats()
 				ref.resetStats()
 				tw.ResetStats()
-				tw.Begin()
+				rebegin()
 			case r < 6:
 				level := 1 + rng.Intn(len(cfg.Levels))
 				index := rng.Intn(len(m.ByLevel[level-1]))
@@ -110,7 +144,7 @@ func FuzzMachine(f *testing.F) {
 				if twin := tw.InjectCacheFault(level, index); twin != got {
 					t.Fatalf("step %d: fault at L%d[%d] dropped %d blocks, the twin %d", step, level, index, got, twin)
 				}
-				tw.Begin()
+				rebegin()
 			default:
 				if rng.Intn(4) == 0 {
 					core = rng.Intn(m.Cores())
@@ -130,6 +164,7 @@ func FuzzMachine(f *testing.F) {
 					v := rng.Uint64()
 					m.Store(core, a, v)
 					store(tw, core, a, v)
+					twinAccessed(step)
 					mem[a] = v
 					ref.access(core, a, true)
 				} else {
@@ -139,10 +174,14 @@ func FuzzMachine(f *testing.F) {
 					if got := load(tw, core, a); got != mem[a] {
 						t.Fatalf("step %d: the twin's core %d load %d = %d, want %d", step, core, a, got, mem[a])
 					}
+					twinAccessed(step)
 					ref.access(core, a, false)
 				}
 			}
 			ref.check(t, m, step)
+		}
+		if quiet && int(steps) >= 3*batchWords && handOffs < 2 {
+			t.Fatalf("a quiet stream of %d steps crossed %d hand-offs, want at least 2", steps, handOffs)
 		}
 		tw.Sync()
 		if tw.Accesses != m.Accesses {

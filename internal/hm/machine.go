@@ -54,7 +54,8 @@ type Machine struct {
 
 	// The fields above are what the walker reads; the ones below are
 	// written on every access, so the pad keeps them off the walker's
-	// cache lines.
+	// cache lines (without it, eight lockstep strands on mc3 ran 6%
+	// slower per access: DESIGN.md §8, "Layout").
 	_ [64]byte
 
 	// mem holds the shared memory in pages of memPageWords words, each
@@ -68,11 +69,12 @@ type Machine struct {
 	trace *traceCap
 
 	// Window state (walker.go): cur, non-nil between Begin and Sync, is
-	// the batch the accesses append their n records to, and the fast path
-	// appends while n < lim (gate).
-	cur    *batch
-	n, lim int
-	wk     *walker
+	// the batch the accesses append their n records to, and rec is the part
+	// of it the fast path may fill: all of cur, or nothing (gate).
+	cur *batch
+	rec []uint64
+	n   int
+	wk  *walker
 
 	// Steps is advanced by the engine (virtual time); kept here so stats
 	// snapshots carry both time and traffic.
@@ -326,16 +328,17 @@ func (m *Machine) invalidateOffPath(core int, a Addr) {
 }
 
 // TryLoad is Load's fast path, for the engine's accesses inside a window.
-// When the window records with room left in its batch (n < lim: no trace
-// capture runs) and a lies inside the heap, it appends the access's record
-// and returns the word and true.  Otherwise it does nothing and returns
-// false, and the caller calls Load.  It makes no call, so it inlines into
-// its caller (make inline-check).
+// When the window records with room left in its batch (n < len(rec): no
+// trace capture runs) and a lies inside the heap, it appends the access's
+// record and returns the word and true.  Otherwise it does nothing and
+// returns false, and the caller calls Load.  It makes no call, and the one
+// length check also bounds the record's store, so it inlines into its
+// caller (make inline-check).
 func (m *Machine) TryLoad(core int, a Addr) (uint64, bool) {
-	if m.n >= m.lim || uint64(a) >= uint64(m.heap) {
+	if uint(m.n) >= uint(len(m.rec)) || uint64(a) >= uint64(m.heap) {
 		return 0, false
 	}
-	m.cur[m.n] = record(core, a, false)
+	m.rec[m.n] = record(core, a, false)
 	m.n++
 	return m.mem[a>>memPageShift][a&memPageMask], true
 }
@@ -343,10 +346,10 @@ func (m *Machine) TryLoad(core int, a Addr) (uint64, bool) {
 // TryStore is Store's fast path, under TryLoad's rule: it writes v and
 // records the access, or does nothing and returns false.
 func (m *Machine) TryStore(core int, a Addr, v uint64) bool {
-	if m.n >= m.lim || uint64(a) >= uint64(m.heap) {
+	if uint(m.n) >= uint(len(m.rec)) || uint64(a) >= uint64(m.heap) {
 		return false
 	}
-	m.cur[m.n] = record(core, a, true)
+	m.rec[m.n] = record(core, a, true)
 	m.n++
 	m.mem[a>>memPageShift][a&memPageMask] = v
 	return true

@@ -70,13 +70,14 @@ func (m *Machine) Begin() {
 	m.gate()
 }
 
-// gate sets lim, the fast path's bound on n: batchWords while a window
-// records and no trace capture runs, and 0 otherwise, so that TryLoad and
-// TryStore refuse every access the trace must note.
+// gate sets rec, the part of the batch the fast path may fill: all of cur
+// while a window records and no trace capture runs, and nothing otherwise,
+// so that TryLoad and TryStore refuse every access the trace must note.
+// Every change of cur or trace calls it.
 func (m *Machine) gate() {
-	m.lim = 0
+	m.rec = nil
 	if m.cur != nil && m.trace == nil {
-		m.lim = batchWords
+		m.rec = m.cur[:]
 	}
 }
 
@@ -147,6 +148,7 @@ func (m *Machine) handOff() {
 	}
 	m.wk.full <- m.cur[:]
 	m.cur, m.n = <-m.wk.free, 0
+	m.gate()
 }
 
 // claimCPU counts a new walker in if a CPU is free for it: if the
