@@ -34,10 +34,11 @@ trace-check:
 	$(GO) test -race -run 'TestTrace' -count=1 ./internal/harness ./internal/hm
 
 # Inlining gate of the access path (DESIGN.md §6).  In internal/hm every
-# simulated access goes through Cache.lookup and Cache.touch, every record
-# through Machine.push and record, every write hit through Machine.write,
-# and every access from algorithm code through the fast path,
-# Machine.TryLoad or TryStore.  In internal/core the budget decrement
+# access becomes a record (record), through the fast path, Machine.TryLoad
+# or TryStore, which must inline, or the full path, Load or Store; apply,
+# the one consumer of records, walks each through Cache.lookup and
+# Cache.touch and every write hit through Machine.write, which must
+# inline into it.  In internal/core the budget decrement
 # (strand.charge) and the element accessors must inline into their callers,
 # and Ctx.LoadU and StoreU must inline the fast path, so that a simulated
 # access from algorithm code is one call; and a lockstep turn (runCore)
@@ -47,7 +48,7 @@ trace-check:
 # when the compiler no longer reports one of INLINE_FUNCS as inlinable, or
 # no longer inlines the callee of a caller:callee pair of INLINE_CALLS at
 # its calls inside the caller in internal/core/ctx.go.
-INLINE_FUNCS = '(*Cache).lookup' '(*Cache).touch' '(*Machine).push' 'record' '(*Machine).write' \
+INLINE_FUNCS = '(*Cache).lookup' '(*Cache).touch' 'record' '(*Machine).write' \
 	'(*Machine).TryLoad' '(*Machine).TryStore' \
 	'(*strand).charge' 'Mat.At' 'Mat.Set' 'F64.At' 'F64.Set' 'I64.At' 'I64.Set' 'U64.At' 'U64.Set' \
 	'(*deque).front' '(*engine).grant' '(*strand).resume' '(*failInj).account'

@@ -171,7 +171,7 @@ func WithInvariants() Opt {
 
 // initInvariants snapshots the per-cache miss counters at the start of a
 // verified run (the monotonicity baseline).  Like every engine read of the
-// counters it syncs the machine first, which ends the run's walker window.
+// counters it syncs the machine first; the run's window goes on recording.
 func (e *engine) initInvariants() {
 	e.m.Sync()
 	if e.prevMiss == nil {

@@ -376,7 +376,7 @@ func (e *engine) run(space int64, root func(*Ctx)) error {
 // queued unwind their task stacks first (suspend panics with
 // killedStrand).  Nothing outlives the run.
 func (e *engine) drain() {
-	e.m.Sync()
+	e.m.End()
 	for i, st := range e.strands {
 		st.stop()
 		e.strands[i] = nil

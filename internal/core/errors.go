@@ -190,8 +190,7 @@ func (e *FailureError) Is(target error) bool {
 
 // IsRunFailure reports whether err is one of the engine's typed run
 // failures (RunError, DeadlockError, InvariantError, FailureError).  The
-// harness uses it to decide which recovered panics become returned errors
-// rather than crashes.
+// engine's tests use it to tell a run failure from any other error.
 func IsRunFailure(err error) bool {
 	switch err.(type) {
 	case *RunError, *DeadlockError, *InvariantError, *FailureError:

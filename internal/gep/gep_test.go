@@ -3,6 +3,7 @@ package gep
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"oblivhm/internal/core"
@@ -166,6 +167,34 @@ func TestMatMulAgainstNaive(t *testing.T) {
 				t.Fatalf("matmul mismatch at (%d,%d)", i, j)
 			}
 		})
+	}
+}
+
+// TestOddHalfSidePanics: a side that halves to an odd side above
+// baseSize would drop rows, so IGEP and MatMul refuse it, as transpose
+// refuses a side that is not a power of two; a side such as 24 = 3·8,
+// which halves evenly down to 3, runs and matches the triple loop.
+func TestOddHalfSidePanics(t *testing.T) {
+	s := core.NewSim(hm.MustMachine(hm.HM4(4, 4)))
+	for _, n := range []int{22, 45} {
+		x := randMat(s, n, 1)
+		for name, run := range map[string]func(c *core.Ctx){
+			"IGEP":   func(c *core.Ctx) { IGEP(c, x, Floyd()) },
+			"MatMul": func(c *core.Ctx) { MatMul(c, x, x, x) },
+		} {
+			_, err := s.TryRun(MatMulSpace(n), run)
+			if err == nil || !strings.Contains(err.Error(), "odd side") {
+				t.Errorf("%s at side %d: want a panic naming the odd side, got %v", name, n, err)
+			}
+		}
+	}
+	const n = 24
+	A, B := randMat(s, n, 1), randMat(s, n, 2)
+	C1, C2 := s.NewMat(n, n), s.NewMat(n, n)
+	s.Run(MatMulSpace(n), func(c *core.Ctx) { MatMul(c, C1, A, B) })
+	s.Run(MatMulSpace(n), func(c *core.Ctx) { NaiveMatMul(c, C2, A, B) })
+	if i, j, ok := matsClose(s, C1, C2, 1e-9); !ok {
+		t.Fatalf("side 24: matmul mismatch at (%d,%d)", i, j)
 	}
 }
 

@@ -1,6 +1,10 @@
 package gep
 
-import "oblivhm/internal/core"
+import (
+	"fmt"
+
+	"oblivhm/internal/core"
+)
 
 // I-GEP (appendix of the paper): four recursive functions 𝒜, ℬ, 𝒞, 𝒟
 // distinguished by how much the input matrices X ≡ x[I,J], U ≡ x[I,K],
@@ -24,13 +28,28 @@ type igepCall struct {
 	g Spec
 }
 
-// IGEP runs the I-GEP computation 𝒜(x,x,x,x) on the n×n matrix x.
-// n must be a power of two.
+// IGEP runs the I-GEP computation 𝒜(x,x,x,x) on the n×n matrix x.  n
+// must halve evenly down to baseSize (mustHalveEvenly), as a power of two
+// does.
 //
 //oblivcheck:secret x
 func IGEP(c *core.Ctx, x core.Mat, g Spec) {
+	mustHalveEvenly(x.Rows)
 	r := igepCall{g: g}
 	r.funcA(c, x, x, x, x, x.Rows, 0, 0, 0)
+}
+
+// mustHalveEvenly panics unless every side the recursion reaches above
+// baseSize is even.  The recursion splits a side m into two halves of
+// m/2, so an odd side would drop its last row and column and the run
+// would solve a smaller problem: side 22 halves to 11 and computes what
+// side 16 does.
+func mustHalveEvenly(n int) {
+	for m := n; m > baseSize; m /= 2 {
+		if m%2 != 0 {
+			panic(fmt.Sprintf("gep: side %d halves to the odd side %d above the base size %d", n, m, baseSize))
+		}
+	}
 }
 
 // SpaceBound is the space bound of the initial call in words.
@@ -191,12 +210,14 @@ func quadDiag(w core.Mat) (w11, w22 core.Mat) {
 
 // MatMul computes C += A·B by invoking I-GEP function 𝒟 with the three
 // disjoint matrices (X=C, U=A, V=B) and the full update set; W is unused by
-// the MulAdd function and is passed as B.  n must be a power of two.
+// the MulAdd function and is passed as B.  n must halve evenly down to
+// baseSize, as in IGEP.
 //
 //oblivcheck:secret C A B
 func MatMul(c *core.Ctx, C, A, B core.Mat) {
-	r := igepCall{g: MulAdd()}
 	n := C.Rows
+	mustHalveEvenly(n)
+	r := igepCall{g: MulAdd()}
 	// Give D disjoint index cubes so Σ tests stay trivially true: origins 0.
 	r.funcD(c, C, A, B, B, n, 0, 0, 0)
 }

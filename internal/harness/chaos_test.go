@@ -229,6 +229,25 @@ func TestNonPositiveNReturnsError(t *testing.T) {
 	}
 }
 
+// TestNonSquareNReturnsError: the eight workloads that build a side x side
+// matrix or grid refuse an n that is not a perfect square, naming n,
+// instead of flooring the side and reporting the smaller run under n;
+// RunMO and TraceMO alike.
+func TestNonSquareNReturnsError(t *testing.T) {
+	for _, algo := range []string{"mt", "mt-naive", "mm", "mm-tiled", "gep", "gep-ref", "spmdv", "spmdv-rand"} {
+		_, err := RunMO(algo, "hm4", 512)
+		_, errTrace := TraceMO(algo, "hm4", 512, 1)
+		for _, err := range []error{err, errTrace} {
+			if err == nil || !strings.Contains(err.Error(), "n = 512") {
+				t.Errorf("%s at n = 512: want an error naming n, got %v", algo, err)
+			}
+		}
+	}
+	if _, err := RunMO("mm", "hm4", 576); err != nil {
+		t.Errorf("mm at n = 576 (side 24): %v", err)
+	}
+}
+
 // TestInvalidNOShapeReturnsError: PE-count and shape violations in the NO
 // substrate come back as errors wrapping no.ErrUsage, not stack traces.
 func TestInvalidNOShapeReturnsError(t *testing.T) {

@@ -151,6 +151,9 @@ const defaultDataSeed = 42
 // The stream stays math/rand (not splitmix64) because the golden snapshots
 // pin the inputs it produced at seed time.
 func runWorkload(s *core.Session, algo string, n int, seed int64) (core.RunStats, predictFn, error) {
+	if side := intSqrt(n); squareInput(algo) && side*side != n {
+		return core.RunStats{}, nil, fmt.Errorf("input size n = %d is not a perfect square, which %s needs as side x side", n, algo)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	var (
 		space   int64
@@ -481,6 +484,16 @@ func randomEdges(n, m int, rng *rand.Rand) [][2]int {
 		edges = append(edges, [2]int{u, v})
 	}
 	return edges
+}
+
+// squareInput reports whether algo builds a side x side matrix or grid
+// from n = side² words.
+func squareInput(algo string) bool {
+	switch algo {
+	case "mt", "mt-naive", "mm", "mm-tiled", "gep", "gep-ref", "spmdv", "spmdv-rand":
+		return true
+	}
+	return false
 }
 
 func intSqrt(n int) int {

@@ -88,6 +88,42 @@ func TestTraceSameSeedIsEqual(t *testing.T) {
 	}
 }
 
+// TestTracePinnedDigests pins the digests of six kernels, oblivious and
+// value-dependent, across commits.  Equality between two seeds cannot see
+// a change to the trace tap that alters every stream alike; a literal
+// digest can.  Regenerate the table only for an intended change of the
+// access stream or of the digest.
+func TestTracePinnedDigests(t *testing.T) {
+	for _, tc := range []struct {
+		algo, machine string
+		n             int
+		hash          uint64
+		accesses      int64
+	}{
+		{"scan", "hm4", 4096, 0x2c8f5330dcceff40, 32713},
+		{"fft", "hm4", 4096, 0x7592cc2e2983fa25, 507904},
+		{"mt", "hm4", 4096, 0x9482e196bf90ac45, 16384},
+		{"gep", "hm4", 1024, 0x34eedf65faab1875, 163840},
+		{"sort", "hm4", 4096, 0x8517ca75fd798adb, 1029409},
+		{"lr", "hm4", 1024, 0x3ca4263bb1443b02, 3473603},
+		{"scan", "mc3", 4096, 0x4ce7fdfb5be44460, 32713},
+		{"fft", "mc3", 4096, 0x4c01feeb785ba8a5, 507904},
+		{"mt", "mc3", 4096, 0x2e25f81d98bd87ad, 16384},
+		{"gep", "mc3", 1024, 0xb61c54849a793125, 163840},
+		{"sort", "mc3", 4096, 0xde34836dde910d13, 1029409},
+		{"lr", "mc3", 1024, 0x263d83b868a8d648, 3473603},
+	} {
+		r, err := TraceMO(tc.algo, tc.machine, tc.n, 7)
+		if err != nil {
+			t.Fatalf("TraceMO(%s, %s): %v", tc.algo, tc.machine, err)
+		}
+		if want := (hm.TraceDigest{Hash: tc.hash, Accesses: tc.accesses}); r.Digest != want {
+			t.Errorf("%s on %s, n=%d: digest %016x over %d accesses, want %016x over %d",
+				tc.algo, tc.machine, tc.n, r.Digest.Hash, r.Digest.Accesses, want.Hash, want.Accesses)
+		}
+	}
+}
+
 func TestTraceEqualRejectsSameSeed(t *testing.T) {
 	if _, _, _, err := TraceEqual("scan", "hm4", 1024, 3, 3); err == nil {
 		t.Fatal("TraceEqual with identical seeds should refuse")

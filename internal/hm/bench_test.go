@@ -98,7 +98,7 @@ func BenchmarkMachineColdScanHM4(b *testing.B) {
 }
 
 // BenchmarkMachineColdScanHM4Walker: the cold scan of
-// BenchmarkMachineColdScanHM4 inside a Begin…Sync window, so its cache walk
+// BenchmarkMachineColdScanHM4 inside a Begin…End window, so its cache walk
 // runs on a walker goroutine when a second CPU is free.
 func BenchmarkMachineColdScanHM4Walker(b *testing.B) {
 	b.ReportAllocs()
@@ -108,7 +108,7 @@ func BenchmarkMachineColdScanHM4Walker(b *testing.B) {
 		a := m.Alloc(n)
 		m.Begin()
 		scanTurns(m, a, n)
-		m.Sync()
+		m.End()
 	}
 }
 

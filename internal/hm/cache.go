@@ -22,7 +22,7 @@ type Cache struct {
 	// shadow: cores [CoreLo, CoreHi).
 	CoreLo, CoreHi int
 
-	// Stats is current outside a Begin…Sync window of its machine and
+	// Stats is current outside a Begin…End window of its machine and
 	// after Machine.Stats or Machine.Sync; inside a window it lags the
 	// accesses the walker has not applied yet.
 	Stats CacheStats

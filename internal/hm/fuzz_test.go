@@ -14,15 +14,15 @@ package hm
 // After every step each cache's CacheStats and Resident() must agree,
 // every load must return the last value stored, and after a growth every
 // value stored before it must still read back.  A twin Machine runs the
-// same stream inside Begin…Sync windows, beginning again after every
-// operation that syncs it, and must load the same words and end with the
-// same counters; it issues each access as core.Ctx does, through the
-// fast path first (TryLoad, TryStore) and the full path when that refuses.
-// Inside a window the twin's Accesses must move only at a batch hand-off,
-// by one batch, when an access finds the batch full.  A quiet stream draws
-// no syncing operation, so the twin keeps one window throughout; from
-// 3·batchWords steps on it must cross at least two hand-offs.  The twin
-// gets two CPUs, so its first hand-off starts a walker on any host.
+// same stream inside one Begin…End window, which every syncing operation
+// leaves recording, and must load the same words and end with the same
+// counters; it issues each access as core.Ctx does, through the fast path
+// first (TryLoad, TryStore) and the full path when that refuses.  Between
+// syncs the twin's Accesses must move only at a batch hand-off, by one
+// batch, when an access finds the batch full.  A quiet stream draws no
+// syncing operation; from 3·batchWords steps on it must cross at least
+// two hand-offs.  The twin gets two CPUs, so its first hand-off starts a
+// walker on any host.
 // The seed corpus runs under `go test ./...`; `make fuzz` fuzzes it.
 
 import (
@@ -58,12 +58,11 @@ func FuzzMachine(f *testing.F) {
 		ref := newRefMachine(cfg)
 		tw := MustMachine(cfg) // the twin, walking behind its window
 		begin(t, tw)
-		// inWindow counts the twin's accesses since its window began, when
-		// its Accesses read begun; handOffs counts the hand-offs crossed.
+		// inWindow counts the twin's accesses since its last sync, when its
+		// Accesses read begun; handOffs counts the hand-offs crossed.
 		var inWindow, handOffs int
 		var begun int64
-		rebegin := func() {
-			tw.Begin()
+		synced := func() {
 			inWindow, begun = 0, tw.Accesses
 		}
 		twinAccessed := func(step int) {
@@ -128,12 +127,12 @@ func FuzzMachine(f *testing.F) {
 				m.FlushCaches()
 				ref.flush()
 				tw.FlushCaches()
-				rebegin()
+				synced()
 			case r < 3:
 				m.ResetStats()
 				ref.resetStats()
 				tw.ResetStats()
-				rebegin()
+				synced()
 			case r < 6:
 				level := 1 + rng.Intn(len(cfg.Levels))
 				index := rng.Intn(len(m.ByLevel[level-1]))
@@ -144,7 +143,7 @@ func FuzzMachine(f *testing.F) {
 				if twin := tw.InjectCacheFault(level, index); twin != got {
 					t.Fatalf("step %d: fault at L%d[%d] dropped %d blocks, the twin %d", step, level, index, got, twin)
 				}
-				rebegin()
+				synced()
 			default:
 				if rng.Intn(4) == 0 {
 					core = rng.Intn(m.Cores())
@@ -183,7 +182,7 @@ func FuzzMachine(f *testing.F) {
 		if quiet && int(steps) >= 3*batchWords && handOffs < 2 {
 			t.Fatalf("a quiet stream of %d steps crossed %d hand-offs, want at least 2", steps, handOffs)
 		}
-		tw.Sync()
+		tw.End()
 		if tw.Accesses != m.Accesses {
 			t.Fatalf("accesses = %d, the twin %d", m.Accesses, tw.Accesses)
 		}

@@ -13,15 +13,17 @@ type Addr int64
 // from one goroutine at a time (the core engine serialises simulated cores),
 // so Machine does no locking.
 //
-// Inside a Begin…Sync window (core opens one per run) every access appends
-// a record to a batch, and full batches are applied on a walker goroutine
-// when a CPU is free, on the caller's otherwise (walker.go).  TryLoad and
-// TryStore, the fast path core takes first, and Load and Store then return
-// before the caches have seen the access.  Stats, ResetStats, FlushCaches
-// and InjectCacheFault call Sync first, so their counts are exact; a direct
-// read of a cache's Stats or of Accesses is current outside a window and
-// after Stats or Sync.  A Machine that is never begun walks on the
-// caller's goroutine.
+// Every access becomes a record, and apply alone walks records through the
+// caches (walker.go).  Inside a Begin…End window (core opens one per run)
+// the records go to a batch, and full batches are applied on a walker
+// goroutine when a CPU is free, on the caller's otherwise, so TryLoad and
+// TryStore, the fast path core takes first, and Load and Store return
+// before the caches have seen the access.  Outside a window Load and
+// Store apply their record at once.  Stats, ResetStats, FlushCaches,
+// InjectCacheFault, StartTrace and EndTrace call Sync first, so their
+// counts are exact, and the window goes on recording; a direct read of a
+// cache's Stats or of Accesses is current outside a window and after
+// Stats or Sync.
 type Machine struct {
 	Cfg Config
 
@@ -30,7 +32,7 @@ type Machine struct {
 	ByLevel [][]*Cache
 
 	// path[c][i-1] is the level-i cache above core c, and l1[c] is
-	// path[c][0], kept flat for the L1 hit path of Load and Store.
+	// path[c][0], kept flat for apply's L1 hit.
 	path [][]*Cache
 	l1   []*Cache
 
@@ -52,6 +54,11 @@ type Machine struct {
 	// path pointer chase.
 	ownMask [][]uint64
 
+	// trace, when non-nil, chains every applied access into a rolling
+	// digest of the access stream (tracecap.go) for the data-obliviousness
+	// harness.
+	trace *traceCap
+
 	// The fields above are what the walker reads; the ones below are
 	// written on every access, so the pad keeps them off the walker's
 	// cache lines (without it, eight lockstep strands on mc3 ran 6%
@@ -64,14 +71,8 @@ type Machine struct {
 	mem  []*memPage
 	heap Addr
 
-	// trace, when non-nil, chains every Load/Store into a rolling digest of
-	// the access stream (tracecap.go) for the data-obliviousness harness.
-	trace *traceCap
-
-	// Window state (walker.go): cur, non-nil between Begin and Sync, is
-	// the batch the accesses append their n records to, and rec is the part
-	// of it the fast path may fill: all of cur, or nothing (gate).
-	cur *batch
+	// Window state (walker.go): rec, non-nil between Begin and End, is
+	// the batch the accesses append their n records to.
 	rec []uint64
 	n   int
 	wk  *walker
@@ -219,7 +220,7 @@ func (m *Machine) HeapWords() int64 { return int64(m.heap) }
 // installing the block into every missed level on the path.  The L1 slot
 // stays put for the write rule: only other caches install on the way, and
 // dropExcl skips core's own L1.  The L1 hit, the overwhelmingly common
-// case, never gets here: Load, Store and apply handle it inline.
+// case, never gets here: apply handles it inline.
 func (m *Machine) miss(core int, a Addr, write bool) {
 	path := m.path[core]
 	c1, b1 := path[0], int64(a)>>m.shift[0]
@@ -244,7 +245,7 @@ func (m *Machine) miss(core int, a Addr, write bool) {
 // block of a: the slot turns dirty, and the first write since it lost
 // exclusivity invalidates every off-path copy (invalidateOffPath) and makes
 // it exclusive again.  A write hit on an exclusive slot thus skips the
-// scan.  It stays small enough to inline into Store, apply and miss.
+// scan.  It stays small enough to inline into apply and miss.
 func (m *Machine) write(core int, a Addr, sl *slot) {
 	sl.dirty = true
 	if !sl.excl {
@@ -328,12 +329,12 @@ func (m *Machine) invalidateOffPath(core int, a Addr) {
 }
 
 // TryLoad is Load's fast path, for the engine's accesses inside a window.
-// When the window records with room left in its batch (n < len(rec): no
-// trace capture runs) and a lies inside the heap, it appends the access's
-// record and returns the word and true.  Otherwise it does nothing and
-// returns false, and the caller calls Load.  It makes no call, and the one
-// length check also bounds the record's store, so it inlines into its
-// caller (make inline-check).
+// When the window's batch has room left (n < len(rec), never outside a
+// window) and a lies inside the heap, it appends the access's record and
+// returns the word and true.  Otherwise it does nothing and returns false,
+// and the caller calls Load.  It makes no call, and the one length check
+// also bounds the record's store, so it inlines into its caller (make
+// inline-check).
 func (m *Machine) TryLoad(core int, a Addr) (uint64, bool) {
 	if uint(m.n) >= uint(len(m.rec)) || uint64(a) >= uint64(m.heap) {
 		return 0, false
@@ -358,27 +359,12 @@ func (m *Machine) TryStore(core int, a Addr, v uint64) bool {
 // Load reads the word at a on behalf of core.  Out-of-heap addresses panic
 // with a typed *AddressError (recovered into a RunError by the engine).
 // Inside a window it records the access, handing a full batch off first;
-// outside one it walks the caches.
+// outside one it applies it at once (issue).
 func (m *Machine) Load(core int, a Addr) uint64 {
 	if uint64(a) >= uint64(m.heap) {
 		panic(&AddressError{Core: core, Addr: a, Heap: int64(m.heap)})
 	}
-	if t := m.trace; t != nil {
-		t.note(core, a, false)
-	}
-	if m.cur != nil {
-		m.push(record(core, a, false))
-	} else {
-		m.Accesses++
-		c1 := m.l1[core]
-		b := int64(a) >> m.shift[0]
-		if s := c1.lookup(b); s != nilSlot {
-			c1.Stats.Hits++
-			c1.touch(b, s)
-		} else {
-			m.miss(core, a, false)
-		}
-	}
+	m.issue(record(core, a, false))
 	return m.mem[a>>memPageShift][a&memPageMask]
 }
 
@@ -387,23 +373,7 @@ func (m *Machine) Store(core int, a Addr, v uint64) {
 	if uint64(a) >= uint64(m.heap) {
 		panic(&AddressError{Core: core, Addr: a, Write: true, Heap: int64(m.heap)})
 	}
-	if t := m.trace; t != nil {
-		t.note(core, a, true)
-	}
-	if m.cur != nil {
-		m.push(record(core, a, true))
-	} else {
-		m.Accesses++
-		c1 := m.l1[core]
-		b := int64(a) >> m.shift[0]
-		if s := c1.lookup(b); s != nilSlot {
-			c1.Stats.Hits++
-			c1.touch(b, s)
-			m.write(core, a, &c1.slots[s])
-		} else {
-			m.miss(core, a, true)
-		}
-	}
+	m.issue(record(core, a, true))
 	m.mem[a>>memPageShift][a&memPageMask] = v
 }
 
@@ -430,7 +400,7 @@ func (m *Machine) Poke(a Addr, v uint64) {
 
 // ResetStats zeroes every cache counter and the access/step counters;
 // contents and heap are preserved.  Like every reader of the caches below,
-// it calls Sync first.
+// it calls Sync first, and a window goes on recording.
 func (m *Machine) ResetStats() {
 	m.Sync()
 	for _, level := range m.ByLevel {

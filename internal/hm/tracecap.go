@@ -8,8 +8,10 @@ package hm
 // analyzer.  The digest is O(1) state regardless of trace length: each
 // access is folded into a 64-bit FNV-1a-style chain, so capturing a
 // billion-access run costs two multiplies per access and no memory.
-// Capture records at Load/Store issue time, which is the engine's
-// deterministic serial program order.
+// apply folds each record as it consumes it, in issue order, which is the
+// engine's deterministic serial program order; StartTrace and EndTrace
+// sync first, so the digest covers exactly the accesses issued between
+// them.
 
 const (
 	fnvOffset64 uint64 = 14695981039346656037
@@ -33,15 +35,12 @@ func (t *traceCap) fold(x uint64) {
 	t.hash = h
 }
 
-// note records one access.  Core and write share a word; the address gets
-// its own, so (core=1, addr=2) and (core=2, addr=1) chain differently.
-func (t *traceCap) note(core int, a Addr, write bool) {
-	x := uint64(core) << 1
-	if write {
-		x |= 1
-	}
-	t.fold(x)
-	t.fold(uint64(a))
+// note folds one access record.  Core and write, the record's low recShift
+// bits, share a word; the address gets its own, so (core=1, addr=2) and
+// (core=2, addr=1) chain differently.
+func (t *traceCap) note(r uint64) {
+	t.fold(r & (1<<recShift - 1))
+	t.fold(r >> recShift)
 	t.n++
 }
 
@@ -55,16 +54,16 @@ type TraceDigest struct {
 // and Poke bypass capture the same way they bypass the cache model: input
 // initialisation and output verification are not part of the measured trace.
 func (m *Machine) StartTrace() {
+	m.Sync()
 	m.trace = &traceCap{hash: fnvOffset64}
-	m.gate()
 }
 
 // EndTrace stops capturing and returns the digest of the stream since
 // StartTrace.  Calling it with no capture in flight returns a zero digest.
 func (m *Machine) EndTrace() TraceDigest {
+	m.Sync()
 	t := m.trace
 	m.trace = nil
-	m.gate()
 	if t == nil {
 		return TraceDigest{}
 	}

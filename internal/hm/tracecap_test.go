@@ -10,19 +10,19 @@ func TestTraceDigestSeparatesStreams(t *testing.T) {
 		f(tc)
 		return tc.hash
 	}
-	base := digest(func(tc *traceCap) { tc.note(1, 2, false) })
+	base := digest(func(tc *traceCap) { tc.note(record(1, 2, false)) })
 	for name, h := range map[string]uint64{
-		"core":  digest(func(tc *traceCap) { tc.note(2, 2, false) }),
-		"addr":  digest(func(tc *traceCap) { tc.note(1, 3, false) }),
-		"write": digest(func(tc *traceCap) { tc.note(1, 2, true) }),
-		"swap":  digest(func(tc *traceCap) { tc.note(2, 1, false) }),
-		"len":   digest(func(tc *traceCap) { tc.note(1, 2, false); tc.note(1, 2, false) }),
+		"core":  digest(func(tc *traceCap) { tc.note(record(2, 2, false)) }),
+		"addr":  digest(func(tc *traceCap) { tc.note(record(1, 3, false)) }),
+		"write": digest(func(tc *traceCap) { tc.note(record(1, 2, true)) }),
+		"swap":  digest(func(tc *traceCap) { tc.note(record(2, 1, false)) }),
+		"len":   digest(func(tc *traceCap) { tc.note(record(1, 2, false)); tc.note(record(1, 2, false)) }),
 	} {
 		if h == base {
 			t.Errorf("%s variation did not change the digest (%016x)", name, base)
 		}
 	}
-	if again := digest(func(tc *traceCap) { tc.note(1, 2, false) }); again != base {
+	if again := digest(func(tc *traceCap) { tc.note(record(1, 2, false)) }); again != base {
 		t.Errorf("identical streams disagree: %016x vs %016x", base, again)
 	}
 }

@@ -9,12 +9,12 @@ import (
 // The walker moves a run's cache walk off the engine's goroutine.  The
 // engine charges every access one virtual step, hit or miss, and memory is
 // authoritative, so no loaded value and no scheduling decision reads the
-// caches: they only count.  Between Begin and Sync, the engine's accesses
-// keep everything a value or an error depends on (the heap check, the
-// trace note and the memory word) and append one record per access to a
-// batch.  Full batches are applied in issue order by apply, on a walker
-// goroutine when a CPU is free and on the engine's otherwise, so every
-// counter is the one the direct walk produces (DESIGN.md §8).
+// caches: they only count.  Between Begin and End, the engine's accesses
+// keep everything a value or an error depends on (the heap check and the
+// memory word) and append one record per access to a batch.  apply alone
+// consumes records: in issue order, on a walker goroutine when a CPU is
+// free and on the engine's otherwise, so every counter and the trace
+// digest are the ones a machine outside a window produces (DESIGN.md §8).
 
 const (
 	// batchWords is the number of records in a batch: 64 KiB.
@@ -32,7 +32,7 @@ const (
 
 type batch [batchWords]uint64
 
-// batchPool lends batches to open windows; Sync returns them, so an idle
+// batchPool lends batches to open windows; End returns them, so an idle
 // machine holds none.
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
@@ -58,64 +58,68 @@ func record(core int, a Addr, write bool) uint64 {
 	return r
 }
 
-// Begin opens a window: from now until Sync, every access appends a
+// Begin opens a window: from now until End, every access appends a
 // record to a batch instead of walking the caches.  Begin inside a window
 // does nothing.
 func (m *Machine) Begin() {
-	if m.cur != nil {
+	if m.rec != nil {
 		return
 	}
 	windows.Add(1)
-	m.cur, m.n = batchPool.Get().(*batch), 0
-	m.gate()
+	m.rec, m.n = batchPool.Get().(*batch)[:], 0
 }
 
-// gate sets rec, the part of the batch the fast path may fill: all of cur
-// while a window records and no trace capture runs, and nothing otherwise,
-// so that TryLoad and TryStore refuse every access the trace must note.
-// Every change of cur or trace calls it.
-func (m *Machine) gate() {
-	m.rec = nil
-	if m.cur != nil && m.trace == nil {
-		m.rec = m.cur[:]
-	}
-}
-
-// Sync closes the window: it applies the records still pending, waits for
-// the walker and stops it, and returns the batches to the pool.  Outside a
-// window it does nothing.  Every cache counter and Accesses are current
+// Sync applies the records still pending, waits for the walker and stops
+// it; the window goes on recording.  Outside a window it does nothing.
+// Every cache counter, Accesses and the trace digest are current
 // afterwards.
 func (m *Machine) Sync() {
-	if m.cur == nil {
+	if m.rec == nil {
 		return
 	}
 	m.Accesses += int64(m.n)
 	if w := m.wk; w != nil {
-		w.full <- m.cur[:m.n]
+		w.full <- m.rec[:m.n]
 		close(w.full)
 		<-w.done
+		m.rec = (<-w.free)[:]
 		for len(w.free) > 0 {
 			batchPool.Put(<-w.free)
 		}
 		m.wk = nil
 		walkers.Add(-1)
 	} else {
-		m.apply(m.cur[:m.n])
-		batchPool.Put(m.cur)
+		m.apply(m.rec[:m.n])
 	}
-	m.cur, m.n = nil, 0
-	m.gate()
+	m.n = 0
+}
+
+// End closes the window: it syncs and returns the batch to the pool.
+// Outside a window it does nothing.
+func (m *Machine) End() {
+	if m.rec == nil {
+		return
+	}
+	m.Sync()
+	batchPool.Put((*batch)(m.rec))
+	m.rec = nil
 	windows.Add(-1)
 }
 
-// push appends a record to the current batch, handing the batch off first
-// when it is full.  The fast path fills a batch up to its last slot and
-// leaves the hand-off to the next push or to Sync.
-func (m *Machine) push(r uint64) {
-	if m.n == batchWords {
+// issue takes the record of an access Load or Store has checked: inside a
+// window it appends it to the batch, handing a full batch off first, and
+// outside one it applies it at once.  The fast path fills a batch up to
+// its last slot and leaves the hand-off to the next issue or to Sync.
+func (m *Machine) issue(r uint64) {
+	if m.rec == nil {
+		m.Accesses++
+		m.apply([]uint64{r})
+		return
+	}
+	if m.n == len(m.rec) {
 		m.handOff()
 	}
-	m.cur[m.n] = r
+	m.rec[m.n] = r
 	m.n++
 }
 
@@ -127,7 +131,7 @@ func (m *Machine) handOff() {
 	m.Accesses += batchWords
 	if m.wk == nil {
 		if !claimCPU() {
-			m.apply(m.cur[:])
+			m.apply(m.rec)
 			m.n = 0
 			return
 		}
@@ -146,9 +150,8 @@ func (m *Machine) handOff() {
 		//oblivcheck:allow determinism: the walker applies records in issue order, so no count depends on goroutine interleaving; Sync joins it before any read
 		go m.walk(w)
 	}
-	m.wk.full <- m.cur[:]
-	m.cur, m.n = <-m.wk.free, 0
-	m.gate()
+	m.wk.full <- m.rec
+	m.rec, m.n = (<-m.wk.free)[:], 0
 }
 
 // claimCPU counts a new walker in if a CPU is free for it: if the
@@ -175,11 +178,15 @@ func (m *Machine) walk(w *walker) {
 	close(w.done)
 }
 
-// apply runs records through the cache walk in order: the L1 hit, or the
-// walk up the path on a miss, exactly as Load and Store do outside a
-// window (they keep their copy of the L1 hit inline, so the direct walk
-// pays no call for it).
+// apply consumes records in issue order, the only code that does: it
+// folds them into the trace digest while a capture runs, then walks each
+// through the caches, the L1 hit inline and a miss up the path.
 func (m *Machine) apply(recs []uint64) {
+	if t := m.trace; t != nil {
+		for _, r := range recs {
+			t.note(r)
+		}
+	}
 	l1, shift := m.l1, m.shift[0]
 	for _, r := range recs {
 		core, a, write := int(r>>1&coreMask), Addr(r>>recShift), r&1 != 0

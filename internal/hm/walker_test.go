@@ -26,7 +26,7 @@ func store(m *Machine, core int, a Addr, v uint64) {
 // fails inside a window leaves no window open for the next one.
 func begin(t *testing.T, m *Machine) {
 	m.Begin()
-	t.Cleanup(m.Sync)
+	t.Cleanup(m.End)
 }
 
 // sameCounts fails unless every cache of the two machines has the same
@@ -50,12 +50,13 @@ func sameCounts(t *testing.T, when string, d, w *Machine) {
 
 // TestWalkerMatchesDirect: on every preset, a seeded stream of loads and
 // stores from every core, nine batches long, runs through twin machines.
-// One walks directly; the other runs inside Begin…Sync windows with two
-// CPUs, so its walker runs even on a one-CPU host, and issues each access
-// through the fast path first, as core.Ctx does.  Mid-stream both grow the
-// heap, take a cache fault and have their Stats read, the last two syncing
-// the windowed twin, which then begins again.  Every load must read the
-// same word, and at each sync and at the end every cache's Stats and
+// One is never begun and applies each access at once; the other runs
+// inside one Begin…End window with two CPUs, so its walker runs even on a
+// one-CPU host, and issues each access through the fast path first, as
+// core.Ctx does.  Mid-stream both grow the heap, take a cache fault and
+// have their Stats read, the last two syncing the windowed twin, whose
+// window goes on recording and starts a new walker.  Every load must read
+// the same word, and at each sync and at End every cache's Stats and
 // Resident(), the Snapshot and every word of the heap must agree.
 func TestWalkerMatchesDirect(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -122,13 +123,11 @@ func TestWalkerMatchesDirect(t *testing.T) {
 				t.Fatalf("fault dropped %d blocks directly, %d behind the walker", x, y)
 			}
 			same("after the fault")
-			w.Begin()
 			stream(2*batchWords + 300)
 			same("at Stats")
-			w.Begin()
 			stream(batchWords + 400)
-			w.Sync()
-			same("at the end")
+			w.End()
+			same("at End")
 			if n := walkers.Load() + windows.Load(); n != 0 {
 				t.Fatalf("%d walkers or windows left open", n)
 			}
@@ -137,7 +136,7 @@ func TestWalkerMatchesDirect(t *testing.T) {
 }
 
 // TestFastPath pins the edges of TryLoad and TryStore against a machine
-// that walks directly: a trace capture inside a window, the heap's end and
+// that is never begun: a trace capture inside a window, the heap's end and
 // a batch the fast path fills to its last slot.
 func TestFastPath(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -160,20 +159,21 @@ func TestFastPath(t *testing.T) {
 		both(100)
 		d.StartTrace()
 		w.StartTrace()
-		if _, ok := w.TryLoad(0, a); ok {
-			t.Fatal("the fast path took a load while a trace capture runs")
-		}
-		if w.TryStore(0, a, 1) {
-			t.Fatal("the fast path took a store while a trace capture runs")
-		}
-		both(batchWords)
-		if dd, wd := d.EndTrace(), w.EndTrace(); dd != wd || dd.Accesses != 2*batchWords {
-			t.Fatalf("digest direct %+v, windowed %+v; want %d accesses", dd, wd, 2*batchWords)
+		both(batchWords - 1)
+		if w.wk == nil {
+			t.Fatal("no walker ran the windowed twin's traced accesses")
 		}
 		if _, ok := w.TryLoad(0, a); !ok {
-			t.Fatal("the fast path refused a load after EndTrace")
+			t.Fatal("the fast path refused a load while a trace capture runs")
+		}
+		if !w.TryStore(0, a, 1) {
+			t.Fatal("the fast path refused a store while a trace capture runs")
 		}
 		d.Load(0, a)
+		d.Store(0, a, 1)
+		if dd, wd := d.EndTrace(), w.EndTrace(); dd != wd || dd.Accesses != 2*batchWords {
+			t.Fatalf("digest never begun %+v, windowed %+v; want %d accesses", dd, wd, 2*batchWords)
+		}
 		both(100)
 		w.Sync()
 		sameCounts(t, "at Sync", d, w)
@@ -254,7 +254,7 @@ func TestFastPath(t *testing.T) {
 // window plus the running walkers are fewer than GOMAXPROCS, and is
 // otherwise applied on the caller's goroutine, the window recording on.  A
 // window shorter than one batch applies its records at Sync.  Each case
-// ends with the counts of a machine that walked the same stream directly.
+// ends with the counts of a machine that was never begun.
 func TestWalkerTakesOnlyAFreeCPU(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n = 1 << 16
@@ -280,12 +280,12 @@ func TestWalkerTakesOnlyAFreeCPU(t *testing.T) {
 	}
 	t.Run("one CPU applies batches inline", func(t *testing.T) {
 		m, d, a := twins(t)
-		if m.cur == nil {
+		if m.rec == nil {
 			t.Fatal("GOMAXPROCS 1: the window does not record")
 		}
 		fill(m, d, a, 2*batchWords+1)
-		if m.wk != nil || m.cur == nil {
-			t.Fatalf("GOMAXPROCS 1: walker %v, recording %v; want no walker, recording", m.wk != nil, m.cur != nil)
+		if m.wk != nil || m.rec == nil {
+			t.Fatalf("GOMAXPROCS 1: walker %v, recording %v; want no walker, recording", m.wk != nil, m.rec != nil)
 		}
 		if m.ByLevel[0][0].Stats.Misses == 0 {
 			t.Fatal("GOMAXPROCS 1: the full batches were not applied")
@@ -309,8 +309,8 @@ func TestWalkerTakesOnlyAFreeCPU(t *testing.T) {
 		}
 		m2, d2, a2 := twins(t)
 		fill(m2, d2, a2, 2*batchWords+1)
-		if m2.wk != nil || m2.cur == nil {
-			t.Fatalf("beside a walker: walker %v, recording %v; want no walker, recording", m2.wk != nil, m2.cur != nil)
+		if m2.wk != nil || m2.rec == nil {
+			t.Fatalf("beside a walker: walker %v, recording %v; want no walker, recording", m2.wk != nil, m2.rec != nil)
 		}
 		synced(t, m2, d2)
 		synced(t, m1, d1)
@@ -322,7 +322,7 @@ func TestWalkerTakesOnlyAFreeCPU(t *testing.T) {
 		if m1.wk != nil {
 			t.Fatal("a machine started a walker with both CPUs inside windows")
 		}
-		m2.Sync()
+		m2.End()
 		fill(m1, d1, a1, batchWords)
 		if m1.wk == nil {
 			t.Fatal("no walker started at the full batch after a CPU freed up")
@@ -332,4 +332,75 @@ func TestWalkerTakesOnlyAFreeCPU(t *testing.T) {
 	if k := walkers.Load() + windows.Load(); k != 0 {
 		t.Fatalf("%d walkers or windows left open", k)
 	}
+}
+
+// TestWindowOutlivesReads: every operation that syncs a window leaves it
+// recording.  After Stats, ResetStats, FlushCaches, InjectCacheFault,
+// StartTrace and EndTrace, each reached behind a running walker, the
+// window count is unchanged, the walker is stopped, the counts and the
+// trace digest are those of a machine that is never begun, and the fast
+// path takes the next access.  End closes the window: the count drops, and
+// the fast path refuses.
+func TestWindowOutlivesReads(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 1 << 14
+	d, w := MustMachine(HM4(4, 4)), MustMachine(HM4(4, 4))
+	a := d.Alloc(n)
+	w.Alloc(n)
+	open := windows.Load()
+	begin(t, w)
+	stream := func(k int) {
+		for i := 0; i < k; i++ {
+			core, x := i%d.Cores(), a+Addr(i*5%n)
+			if i%3 == 0 {
+				d.Store(core, x, uint64(i))
+				store(w, core, x, uint64(i))
+			} else if y, z := d.Load(core, x), load(w, core, x); y != z {
+				t.Fatalf("load %d: never begun %d, windowed %d", x, y, z)
+			}
+		}
+	}
+	var dd, wd TraceDigest
+	for _, op := range []struct {
+		name string
+		do   func(m *Machine) TraceDigest
+	}{
+		{"Stats", func(m *Machine) TraceDigest { m.Stats(); return TraceDigest{} }},
+		{"ResetStats", func(m *Machine) TraceDigest { m.ResetStats(); return TraceDigest{} }},
+		{"FlushCaches", func(m *Machine) TraceDigest { m.FlushCaches(); return TraceDigest{} }},
+		{"InjectCacheFault", func(m *Machine) TraceDigest { m.InjectCacheFault(2, 1); return TraceDigest{} }},
+		{"StartTrace", func(m *Machine) TraceDigest { m.StartTrace(); return TraceDigest{} }},
+		{"EndTrace", (*Machine).EndTrace},
+	} {
+		stream(batchWords + 100)
+		if w.wk == nil {
+			t.Fatalf("before %s: no walker ran", op.name)
+		}
+		dd, wd = op.do(d), op.do(w)
+		if dd != wd {
+			t.Fatalf("%s: digest never begun %+v, windowed %+v", op.name, dd, wd)
+		}
+		if k := windows.Load(); k != open+1 || w.rec == nil || w.wk != nil {
+			t.Fatalf("after %s: %d windows, recording %v, walker %v; want %d, true, false",
+				op.name, k, w.rec != nil, w.wk != nil, open+1)
+		}
+		sameCounts(t, "after "+op.name, d, w)
+		if _, ok := w.TryLoad(1, a); !ok {
+			t.Fatalf("after %s the fast path refused a load", op.name)
+		}
+		d.Load(1, a)
+	}
+	if dd.Accesses != batchWords+101 {
+		t.Fatalf("the trace holds %d accesses, want %d", dd.Accesses, batchWords+101)
+	}
+	w.End()
+	if k := windows.Load(); k != open || w.rec != nil {
+		t.Fatalf("after End: %d windows, recording %v; want %d, false", k, w.rec != nil, open)
+	}
+	if _, ok := w.TryLoad(1, a); ok {
+		t.Fatal("the fast path took a load after End")
+	}
+	d.Load(1, a)
+	w.Load(1, a)
+	sameCounts(t, "after End", d, w)
 }

@@ -290,22 +290,12 @@ func (s *Spec) validateHypothesis(i int) error {
 		if h.AtOrBelowN < 0 {
 			return specErrf(hf("at_or_below_n"), "must be >= 0, got %d", h.AtOrBelowN)
 		}
-		for _, sel := range []struct {
-			name string
-			s    Selector
-		}{{"subject", h.Subject}, {"baseline", h.Baseline}} {
-			if sel.s.Algo == "" {
-				return specErrf(hf(sel.name+".algo"), "crossover selectors must pin an algorithm")
-			}
-			if err := s.checkSelector(hf(sel.name), sel.s); err != nil {
-				return err
-			}
-			if len(s.Machines) > 1 && sel.s.Machine == "" {
-				return specErrf(hf(sel.name+".machine"), "spec sweeps %d machines; crossover selectors must pin one", len(s.Machines))
-			}
+	case "survivability":
+		if h.MaxRatio <= 0 {
+			return specErrf(hf("max_ratio"), "survivability needs max_ratio > 0, got %g", h.MaxRatio)
 		}
-		if h.Subject == h.Baseline {
-			return specErrf(hf("baseline"), "subject and baseline select the same rows (%s)", h.Subject)
+		if h.MinDead < 0 {
+			return specErrf(hf("min_dead"), "must be >= 0, got %d", h.MinDead)
 		}
 	case "stability":
 		if h.Epsilon <= 0 {
@@ -314,35 +304,27 @@ func (s *Spec) validateHypothesis(i int) error {
 		if len(s.Seeds) < 2 {
 			return specErrf(hf("kind"), "stability compares across seeds; spec declares %d seed(s), need >= 2", len(s.Seeds))
 		}
-		if err := s.checkSelector(hf("filter"), h.Filter); err != nil {
-			return err
-		}
-	case "survivability":
-		if h.MaxRatio <= 0 {
-			return specErrf(hf("max_ratio"), "survivability needs max_ratio > 0, got %g", h.MaxRatio)
-		}
-		if h.MinDead < 0 {
-			return specErrf(hf("min_dead"), "must be >= 0, got %d", h.MinDead)
-		}
-		for _, sel := range []struct {
-			name string
-			s    Selector
-		}{{"subject", h.Subject}, {"baseline", h.Baseline}} {
-			if sel.s.Algo == "" {
-				return specErrf(hf(sel.name+".algo"), "survivability selectors must pin an algorithm")
-			}
-			if err := s.checkSelector(hf(sel.name), sel.s); err != nil {
-				return err
-			}
-			if len(s.Machines) > 1 && sel.s.Machine == "" {
-				return specErrf(hf(sel.name+".machine"), "spec sweeps %d machines; survivability selectors must pin one", len(s.Machines))
-			}
-		}
-		if h.Subject == h.Baseline {
-			return specErrf(hf("baseline"), "subject and baseline select the same rows (%s)", h.Subject)
-		}
+		return s.checkSelector(hf("filter"), h.Filter)
 	default:
 		return specErrf(hf("kind"), "unknown kind %q (have crossover, stability, survivability)", h.Kind)
+	}
+	// crossover and survivability pair a subject series with a baseline.
+	for _, sel := range []struct {
+		name string
+		s    Selector
+	}{{"subject", h.Subject}, {"baseline", h.Baseline}} {
+		if sel.s.Algo == "" {
+			return specErrf(hf(sel.name+".algo"), "%s selectors must pin an algorithm", h.Kind)
+		}
+		if err := s.checkSelector(hf(sel.name), sel.s); err != nil {
+			return err
+		}
+		if len(s.Machines) > 1 && sel.s.Machine == "" {
+			return specErrf(hf(sel.name+".machine"), "spec sweeps %d machines; %s selectors must pin one", len(s.Machines), h.Kind)
+		}
+	}
+	if h.Subject == h.Baseline {
+		return specErrf(hf("baseline"), "subject and baseline select the same rows (%s)", h.Subject)
 	}
 	return nil
 }
