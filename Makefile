@@ -135,9 +135,12 @@ cover:
 # the sweep runner: the packages with real concurrency, which are the
 # native executor, the hm walker goroutine that applies a run's cache walk
 # beside the engine (internal/hm/walker.go), and the sweep worker pool incl.
-# the rebased cmd/tables.
+# the rebased cmd/tables.  The native executor's own tests (a fork's
+# join, its panic re-raise and its goroutine tokens) run ten times more,
+# since a race there shows only in some interleavings.
 race:
 	$(GO) test -race ./internal/core/... ./internal/hm ./internal/harness/... ./internal/sweep ./cmd/tables
+	$(GO) test -race -count=10 -run '^TestNative' ./internal/core
 
 # Failure-injection gate: the seeded kill/straggler/cache-fault suite and
 # the 16-seed failure sweep over the golden matrix under the race detector,

@@ -2,7 +2,9 @@
 // spec into a grid of (algorithm, machine, size, seed, options) configs,
 // fans the runs out across worker goroutines, and streams one row per run
 // to JSONL or CSV — in grid order, byte-identical for every worker count,
-// because each run is an independent deterministic simulation.
+// because each run is an independent deterministic simulation whose row
+// waits in its grid cell's slot until every earlier row is written.  The
+// progress line on stderr counts written rows.
 //
 // Usage:
 //

@@ -6,7 +6,8 @@
 //     (no internal/hm import, no Session.Machine(), no World.P / World.B),
 //   - determinism: engine/algorithm code draws no wall-clock time, no
 //     unseeded randomness, no map-iteration order, no sync.Map, and spawns
-//     no goroutines outside the sanctioned native-executor sites,
+//     no goroutines outside the sanctioned sites (the native executor's
+//     fork, the sweep worker pool and the hm walker),
 //   - hinthygiene: every forked Task carries a non-constant space bound and
 //     every engine-side join is waited on all control paths,
 //   - dataoblivious: packages opting in with //oblivcheck:dataoblivious

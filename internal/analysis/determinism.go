@@ -21,11 +21,12 @@ import (
 //     slices.SortedFunc,
 //   - sync.Map (iteration order and interleaving are unspecified),
 //   - go statements outside the sanctioned sites, each of which carries an
-//     //oblivcheck:allow annotation: the native-mode executor's two, the
-//     sweep worker pool's, and the hm walker's, which applies a run's
-//     cache records in issue order, so no count depends on goroutine
-//     interleaving.  Strands are runtime coroutines resumed by the
-//     engine, not goroutines it launches.
+//     //oblivcheck:allow annotation: the native-mode executor's one, in
+//     the fork that starts every native child, the sweep worker pool's,
+//     and the hm walker's, which applies a run's cache records in issue
+//     order, so no count depends on goroutine interleaving.  Strands are
+//     runtime coroutines resumed by the engine, not goroutines it
+//     launches.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "engine and algorithm code must stay deterministic: no wall clock, unseeded rand, map order, sync.Map, or unsanctioned goroutines",

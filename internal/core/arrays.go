@@ -163,7 +163,7 @@ func (s *Session) peekWord(a Addr) uint64 {
 	if s.mach != nil {
 		return s.mach.Peek(a)
 	}
-	return s.nm().load(a)
+	return s.nmem.load(a)
 }
 
 func (s *Session) pokeWord(a Addr, v uint64) {
@@ -171,7 +171,7 @@ func (s *Session) pokeWord(a Addr, v uint64) {
 		s.mach.Poke(a, v)
 		return
 	}
-	s.nm().store(a, v)
+	s.nmem.store(a, v)
 }
 
 // PeekF / PokeF access an F64 without accounting.

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"oblivhm/internal/hm"
 )
@@ -85,7 +86,9 @@ func (c *Ctx) PFor(n, elemWords int, body func(cc *Ctx, lo, hi int)) {
 		elemWords = 1
 	}
 	if c.st == nil {
-		c.nativePFor(n, body)
+		k := min(c.s.workers, n)
+		cs := (n + k - 1) / k
+		c.fork((n+cs-1)/cs, func(cc *Ctx, j int) { body(cc, j*cs, min((j+1)*cs, n)) })
 		return
 	}
 	e := c.s.eng
@@ -134,43 +137,6 @@ func (c *Ctx) PFor(n, elemWords int, body func(cc *Ctx, lo, hi int)) {
 	c.waitJoin(jn)
 }
 
-func (c *Ctx) nativePFor(n int, body func(cc *Ctx, lo, hi int)) {
-	k := c.s.workers
-	if k > n {
-		k = n
-	}
-	if k <= 1 {
-		body(c, 0, n)
-		return
-	}
-	cs := (n + k - 1) / k
-	var wg sync.WaitGroup
-	for j := 0; j*cs < n; j++ {
-		clo, chi := j*cs, (j+1)*cs
-		if chi > n {
-			chi = n
-		}
-		if !c.s.gov.tryAcquire() {
-			body(c, clo, chi)
-			continue
-		}
-		wg.Add(1)
-		//oblivcheck:allow determinism: native-mode executor — real parallelism is the point; joined before return, failures funneled through noteNativeFailure
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer c.s.gov.release()
-			defer func() {
-				if r := recover(); r != nil {
-					c.s.noteNativeFailure(r)
-				}
-			}()
-			body(&Ctx{s: c.s}, lo, hi)
-		}(clo, chi)
-	}
-	wg.Wait()
-	c.s.rethrowNative()
-}
-
 // ---- SB: space-bound scheduling ----
 
 // Task is a forked task with a declared space bound (the paper's s(τ), an
@@ -193,7 +159,13 @@ func (c *Ctx) SpawnSB(tasks ...Task) {
 		return
 	}
 	if c.st == nil {
-		c.nativeSpawn(tasks)
+		// Copy the functions out: a closure over tasks would make every
+		// simulated call heap-allocate its variadic slice.
+		fns := make([]func(*Ctx), len(tasks))
+		for i, t := range tasks {
+			fns[i] = t.Fn
+		}
+		c.fork(len(fns), func(cc *Ctx, i int) { fns[i](cc) })
 		return
 	}
 	e := c.s.eng
@@ -226,12 +198,7 @@ func (c *Ctx) SpawnCGCSB(space int64, m int, task func(cc *Ctx, idx int)) {
 		return
 	}
 	if c.st == nil {
-		tasks := make([]Task, m)
-		for idx := 0; idx < m; idx++ {
-			id := idx
-			tasks[idx] = Task{Space: space, Fn: func(cc *Ctx) { task(cc, id) }}
-		}
-		c.nativeSpawn(tasks)
+		c.fork(m, task)
 		return
 	}
 	e := c.s.eng
@@ -281,28 +248,56 @@ func (c *Ctx) SpawnCGCSB(space int64, m int, task func(cc *Ctx, idx int)) {
 	c.waitJoin(jn)
 }
 
-func (c *Ctx) nativeSpawn(tasks []Task) {
-	var wg sync.WaitGroup
-	for i, t := range tasks {
-		if i == len(tasks)-1 || !c.s.gov.tryAcquire() {
-			t.Fn(c)
+// fork runs child(cc, i) for every i in [0, n) as the children of one
+// native fork, and returns only once every child has returned.  Each child
+// but the last starts on a goroutine of its own while one of the session's
+// tokens is free; the others run inline on the forking goroutine.  A panic
+// does not cut the join short: the deferred join waits for the goroutine
+// children first, then re-raises the first panic any child raised.
+func (c *Ctx) fork(n int, child func(cc *Ctx, i int)) {
+	var j struct {
+		wg    sync.WaitGroup
+		first atomic.Pointer[RunError]
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			j.first.CompareAndSwap(nil, nativeError(r))
+		}
+		j.wg.Wait()
+		if err := j.first.Load(); err != nil {
+			panic(err)
+		}
+	}()
+	for i := 0; i < n-1; i++ {
+		select {
+		case c.s.tokens <- struct{}{}:
+		default:
+			child(c, i)
 			continue
 		}
-		wg.Add(1)
-		//oblivcheck:allow determinism: native-mode executor — real parallelism is the point; joined before return, failures funneled through noteNativeFailure
-		go func(fn func(*Ctx)) {
-			defer wg.Done()
-			defer c.s.gov.release()
+		j.wg.Add(1)
+		//oblivcheck:allow determinism: native-mode executor — real parallelism is the point; the deferred join waits for every child before it re-raises a panic
+		go func() {
 			defer func() {
 				if r := recover(); r != nil {
-					c.s.noteNativeFailure(r)
+					j.first.CompareAndSwap(nil, nativeError(r))
 				}
+				<-c.s.tokens
+				j.wg.Done()
 			}()
-			fn(&Ctx{s: c.s})
-		}(t.Fn)
+			child(&Ctx{s: c.s}, i)
+		}()
 	}
-	wg.Wait()
-	c.s.rethrowNative()
+	child(c, n-1)
+}
+
+// nativeError is a native child's panic as a *RunError: one raised by a
+// fork further down as it is, any other value wrapped once.
+func nativeError(r any) *RunError {
+	if err, ok := r.(*RunError); ok {
+		return err
+	}
+	return &RunError{Core: -1, Label: "native", Value: r}
 }
 
 // waitJoin parks the calling strand until all children of jn have finished.

@@ -18,10 +18,9 @@ const (
 type page [pageWords]uint64
 
 type nativeMem struct {
-	mu    sync.Mutex
-	dir   atomic.Pointer[[]*page]
-	heap  int64
-	empty []*page
+	mu   sync.Mutex
+	dir  atomic.Pointer[[]*page]
+	heap int64
 }
 
 func newNativeMem() *nativeMem {

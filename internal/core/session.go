@@ -21,7 +21,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"oblivhm/internal/hm"
 )
@@ -37,14 +36,13 @@ type Session struct {
 	eng     *engine     // nil in native mode
 	nmem    *nativeMem  // native backing store
 	workers int         // native parallelism
-	gov     *governor   // native goroutine governor
 
-	nmu   sync.Mutex // guards nfail (native goroutines run concurrently)
-	nfail any        // first panic recovered from a native worker goroutine
+	// tokens bounds the native children running on goroutines of their
+	// own: a fork starts one only while it can send a token, otherwise it
+	// runs the child inline.  This keeps deep recursive algorithms (I-GEP
+	// forks at every level) from creating millions of goroutines.
+	tokens chan struct{}
 }
-
-// nm returns the native memory, which exists only in native sessions.
-func (s *Session) nm() *nativeMem { return s.nmem }
 
 // Opt configures a simulated session; only NewSim applies options.
 type Opt func(*Session)
@@ -91,7 +89,7 @@ func NewNative(workers int) *Session {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Session{workers: workers, gov: newGovernor(4 * workers), nmem: newNativeMem()}
+	return &Session{workers: workers, tokens: make(chan struct{}, 4*workers), nmem: newNativeMem()}
 }
 
 // Simulated reports whether the session runs on a simulated HM machine.
@@ -151,44 +149,16 @@ func (s *Session) TryRun(space int64, root func(*Ctx)) (RunStats, error) {
 	return RunStats{Steps: s.eng.clock, Sim: s.mach.Stats(), Recovery: s.eng.fail.report(s.eng)}, nil
 }
 
-// nativeRun executes root on the calling goroutine, recovering panics from
-// it and from worker goroutines (noted by nativeSpawn/nativePFor) into a
-// *RunError.
+// nativeRun executes root on the calling goroutine, recovering a panic from
+// it, or one a fork re-raised from its children, into a *RunError.
 func (s *Session) nativeRun(root func(*Ctx)) (err error) {
-	s.nmu.Lock()
-	s.nfail = nil
-	s.nmu.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
-			if re, ok := r.(*RunError); ok {
-				err = re
-				return
-			}
-			err = &RunError{Core: -1, Label: "native", Value: r}
+			err = nativeError(r)
 		}
 	}()
 	root(&Ctx{s: s})
 	return nil
-}
-
-// noteNativeFailure records the first panic recovered from a native worker
-// goroutine; rethrowNative re-raises it on the forking goroutine once the
-// fork's WaitGroup has drained.
-func (s *Session) noteNativeFailure(r any) {
-	s.nmu.Lock()
-	if s.nfail == nil {
-		s.nfail = r
-	}
-	s.nmu.Unlock()
-}
-
-func (s *Session) rethrowNative() {
-	s.nmu.Lock()
-	r := s.nfail
-	s.nmu.Unlock()
-	if r != nil {
-		panic(&RunError{Core: -1, Label: "native", Value: r})
-	}
 }
 
 // RunCold flushes all caches before running, so the measured traffic
@@ -208,31 +178,6 @@ func (s *Session) TryRunCold(space int64, root func(*Ctx)) (RunStats, error) {
 	}
 	return s.TryRun(space, root)
 }
-
-// governor bounds the number of live goroutines in native mode: fork sites
-// spawn a real goroutine only while a token is available, otherwise they
-// inline the child.  This keeps deep recursive algorithms (I-GEP forks at
-// every level) from creating millions of goroutines.
-type governor struct{ tokens chan struct{} }
-
-func newGovernor(n int) *governor {
-	g := &governor{tokens: make(chan struct{}, n)}
-	for i := 0; i < n; i++ {
-		g.tokens <- struct{}{}
-	}
-	return g
-}
-
-func (g *governor) tryAcquire() bool {
-	select {
-	case <-g.tokens:
-		return true
-	default:
-		return false
-	}
-}
-
-func (g *governor) release() { g.tokens <- struct{}{} }
 
 func (s *Session) String() string {
 	if s.mach != nil {

@@ -8,6 +8,7 @@ package harness
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strings"
 
@@ -16,13 +17,30 @@ import (
 
 // RunConfig identifies one simulated experiment — the cell of a sweep grid.
 // The zero Seed means chaos off; any other value runs the workload under
-// the deterministic fault injector with that seed (core.WithChaos).
+// the deterministic fault injector with that seed (core.WithChaos).  Its
+// JSON field names are the row schema of every sweep output format.
 type RunConfig struct {
-	Algo    string
-	Machine string
-	N       int
-	Options string // named engine-option set, see OptionSet
-	Seed    int64  // chaos seed; 0 = chaos off
+	Algo    string `json:"algo"`
+	Machine string `json:"machine"`
+	N       int    `json:"n"`
+	Options string `json:"options"` // named engine-option set, see OptionSet
+	Seed    int64  `json:"seed"`    // chaos seed; 0 = chaos off
+}
+
+// Key is the canonical human-readable identity of a config.  It is the
+// stable sort/dedup key of the sweep layer: resume matching, hypothesis
+// supporting-row lists and test assertions all speak in keys.
+func (c RunConfig) Key() string {
+	return fmt.Sprintf("%s/%s/n%d/%s/s%d", c.Algo, c.Machine, c.N, c.Options, c.Seed)
+}
+
+// Hash is the config's FNV-1a identity as stored in sweep output rows;
+// resumed sweeps skip configs whose hash is already present in the output
+// file.
+func (c RunConfig) Hash() string {
+	h := fnv.New64a()
+	h.Write([]byte(c.Key()))
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // optionSets are the named engine-option bundles an experiment can select.

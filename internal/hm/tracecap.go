@@ -69,6 +69,3 @@ func (m *Machine) EndTrace() TraceDigest {
 	}
 	return TraceDigest{Hash: t.hash, Accesses: t.n}
 }
-
-// Tracing reports whether a capture is in flight.
-func (m *Machine) Tracing() bool { return m.trace != nil }

@@ -29,17 +29,18 @@ func TestTraceDigestSeparatesStreams(t *testing.T) {
 
 func TestTraceCaptureLifecycle(t *testing.T) {
 	m := MustMachine(Seq())
-	if m.Tracing() {
-		t.Fatal("fresh machine should not be tracing")
+	if d := m.EndTrace(); d != (TraceDigest{}) {
+		t.Fatalf("EndTrace on a fresh machine: got %+v, want the zero digest", d)
+	}
+	m.StartTrace()
+	if d := m.EndTrace(); d != (TraceDigest{Hash: fnvOffset64}) {
+		t.Fatalf("EndTrace of an empty capture: got %+v, want the FNV offset and no accesses", d)
 	}
 	if d := m.EndTrace(); d != (TraceDigest{}) {
-		t.Fatalf("EndTrace without capture: got %+v", d)
+		t.Fatalf("EndTrace after EndTrace: got %+v, want the zero digest", d)
 	}
 	a := m.Alloc(16)
 	m.StartTrace()
-	if !m.Tracing() {
-		t.Fatal("StartTrace did not arm capture")
-	}
 	m.Store(0, a, 7)
 	if got := m.Load(0, a); got != 7 {
 		t.Fatalf("Load after Store: got %d", got)
@@ -47,9 +48,6 @@ func TestTraceCaptureLifecycle(t *testing.T) {
 	m.Peek(a)      // bypasses capture
 	m.Poke(a+1, 9) // bypasses capture
 	d := m.EndTrace()
-	if m.Tracing() {
-		t.Fatal("EndTrace left capture armed")
-	}
 	if d.Accesses != 2 {
 		t.Fatalf("captured %d accesses, want 2 (Peek/Poke must bypass)", d.Accesses)
 	}

@@ -1,34 +1,11 @@
 package sweep
 
-import (
-	"fmt"
-	"hash/fnv"
-)
+import "oblivhm/internal/harness"
 
-// Config is one grid cell: the sweep-layer mirror of harness.RunConfig.
-// Its JSON field names are the row schema of every output format.
-type Config struct {
-	Algo    string `json:"algo"`
-	Machine string `json:"machine"`
-	N       int    `json:"n"`
-	Options string `json:"options"`
-	Seed    int64  `json:"seed"`
-}
-
-// Key is the canonical human-readable identity of a config.  It is the
-// stable sort/dedup key of the sweep layer: resume matching, hypothesis
-// supporting-row lists and test assertions all speak in keys.
-func (c Config) Key() string {
-	return fmt.Sprintf("%s/%s/n%d/%s/s%d", c.Algo, c.Machine, c.N, c.Options, c.Seed)
-}
-
-// Hash is the config's FNV-1a identity as stored in output rows; resumed
-// sweeps skip configs whose hash is already present in the output file.
-func (c Config) Hash() string {
-	h := fnv.New64a()
-	h.Write([]byte(c.Key()))
-	return fmt.Sprintf("%016x", h.Sum64())
-}
+// Config is one grid cell: the harness run it measures.  Its JSON field
+// names are the row schema of every output format, and its Key and Hash
+// are the identity a resumed sweep matches rows by.
+type Config = harness.RunConfig
 
 // Expand materializes the validated spec's grid in declaration order, axes
 // nested algos → machines → sizes → options → seeds (outermost first).

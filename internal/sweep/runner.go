@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"oblivhm/internal/harness"
 )
@@ -55,18 +57,21 @@ type RunnerOpts struct {
 	// Done holds config hashes already present in the output (resume):
 	// matching grid cells are skipped, not re-run and not re-emitted.
 	Done map[string]bool
-	// Progress, when non-nil, is called after every completed run with the
-	// number of finished and total runs of this invocation.  It runs on
-	// the caller's goroutine.
+	// Progress, when non-nil, is called after every emitted row with the
+	// number of emitted and total rows of this invocation.  It runs on the
+	// caller's goroutine.
 	Progress func(done, total int)
 }
 
 // Run expands the validated spec, executes every config not already in
 // opts.Done, and hands rows to emit in grid order.  The fan-out is across
-// runs: each worker goroutine owns an independent deterministic simulation,
-// and a reorder buffer on the calling goroutine re-sequences completions,
-// so emit sees the same byte stream whether Workers is 1 or 64.  An emit
-// error stops the sweep (in-flight runs are drained first) and is returned.
+// runs: each worker goroutine owns an independent deterministic
+// simulation, takes the next cell in grid order and puts its row in that
+// cell's one-row slot, and the calling goroutine emits slot by slot, so
+// emit (and any Writer behind it) needs no locking and sees the same byte
+// stream whether Workers is 1 or 64.  An emit error stops the workers from
+// taking further cells and is returned; Run returns only once every worker
+// has exited.
 func Run(spec *Spec, opts RunnerOpts, emit func(Row) error) error {
 	if err := spec.Validate(); err != nil {
 		return err
@@ -81,70 +86,34 @@ func Run(spec *Spec, opts RunnerOpts, emit func(Row) error) error {
 		}
 		todo = kept
 	}
-	if len(todo) == 0 {
-		return nil
+	slots := make([]chan Row, len(todo))
+	for i := range slots {
+		slots[i] = make(chan Row, 1)
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-
-	type indexed struct {
-		idx int
-		row Row
-	}
-	jobs := make(chan int)
-	results := make(chan indexed, workers)
-	for w := 0; w < workers; w++ {
-		//oblivcheck:allow determinism: sweep fan-out is across independent deterministic runs; the reorder buffer below re-emits rows in grid order, so the output is a pure function of the spec
+	var next atomic.Int64 // the next cell to take; len(todo) or more stops the workers
+	var wg sync.WaitGroup
+	for range min(max(opts.Workers, 1), len(todo)) {
+		wg.Add(1)
+		//oblivcheck:allow determinism: sweep fan-out is across independent deterministic runs; every row goes to its cell's slot and is emitted in grid order, so the output is a pure function of the spec
 		go func() {
-			for idx := range jobs {
-				results <- indexed{idx: idx, row: runOne(todo[idx])}
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(todo)); i = next.Add(1) - 1 {
+				slots[i] <- runOne(todo[i])
 			}
 		}()
 	}
-
-	// The calling goroutine both feeds the job channel and re-sequences
-	// completions through a reorder buffer, so emit (and any Writer behind
-	// it) never needs locking and always sees grid order.  On an emit
-	// error the feed channel goes nil (never selected), the loop drains
-	// the in-flight runs, and every worker exits via the close below.
-	var emitErr error
-	pending := make(map[int]Row)
-	submitted, finished, nextEmit := 0, 0, 0
-	for finished < submitted || (emitErr == nil && submitted < len(todo)) {
-		var feed chan<- int
-		if emitErr == nil && submitted < len(todo) {
-			feed = jobs
-		}
-		select {
-		case feed <- submitted:
-			submitted++
-			continue
-		case r := <-results:
-			finished++
-			pending[r.idx] = r.row
-		}
-		for {
-			row, ok := pending[nextEmit]
-			if !ok {
-				break
-			}
-			delete(pending, nextEmit)
-			nextEmit++
-			if emitErr == nil {
-				emitErr = emit(row)
-			}
+	var err error
+	for i, slot := range slots {
+		if err = emit(<-slot); err != nil {
+			next.Store(int64(len(todo)))
+			break
 		}
 		if opts.Progress != nil {
-			opts.Progress(finished, len(todo))
+			opts.Progress(i+1, len(todo))
 		}
 	}
-	close(jobs)
-	return emitErr
+	wg.Wait()
+	return err
 }
 
 // Collect runs the spec and returns every row in grid order — the
@@ -161,9 +130,7 @@ func Collect(spec *Spec, workers int) ([]Row, error) {
 // runOne measures a single grid cell through the shared harness entry.
 func runOne(c Config) Row {
 	row := Row{Config: c, Hash: c.Hash()}
-	res, err := harness.Run(harness.RunConfig{
-		Algo: c.Algo, Machine: c.Machine, N: c.N, Options: c.Options, Seed: c.Seed,
-	})
+	res, err := harness.Run(c)
 	if err != nil {
 		row.Err = err.Error()
 		return row

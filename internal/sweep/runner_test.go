@@ -37,7 +37,7 @@ func runToJSONL(t *testing.T, spec *Spec, workers int) string {
 
 // TestSweepDeterminism is the determinism contract extended to the sweep
 // layer: the same spec produces byte-identical JSONL on repeated runs and
-// across worker counts — both as emitted (the reorder buffer guarantees
+// across worker counts — both as emitted (the per-cell slots guarantee
 // grid order) and as sorted line sets.
 func TestSweepDeterminism(t *testing.T) {
 	spec := testSpec()
