@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test bench bench-smoke bench-check tables examples vet oblivcheck trace-check inline-check lint cover race failure-sweep fuzz soak profile sweep sweep-smoke clean
+.PHONY: all test bench bench-smoke bench-check tables examples vet oblivcheck trace-check inline-check lint cover race failure-sweep fuzz soak profile sweep sweep-smoke cli-check clean
 
 all: vet test
 
@@ -120,6 +120,27 @@ sweep-smoke:
 	$(GO) run ./cmd/sweep -spec specs/smoke.json -hypothesis -quiet -workers 4 -out bin/smoke_w4.jsonl
 	$(GO) run ./cmd/sweep -spec specs/smoke.json -hypothesis -quiet -workers 1 -out bin/smoke_w1.jsonl
 	cmp bin/smoke_w1.jsonl bin/smoke_w4.jsonl
+
+# Bad-input gate of the three CLIs: each input below must exit non-zero
+# without a Go stack trace.  A panic exits 2, as a usage error does, so the
+# gate fails on any output line that starts with "panic:" or "goroutine "
+# as well as on exit 0.
+CLI_BAD = 'hmsim -n 0' 'hmsim -quantum 0' 'hmsim -algo bogus' 'hmsim -machine nope' \
+	'hmsim -algo mm -n 512' 'hmsim -algo fft -n 1000' 'hmsim -algo gep -n 484' \
+	'nosim -B 0' 'nosim -p 3 -n 1024' 'nosim -algo bogus' 'nosim -algo mt -n 0' \
+	'nosim -algo ngep -n 1030 -p 4 -B 2' \
+	'sweep' 'sweep -spec /dev/null' 'sweep -spec specs/no-such-spec.json' \
+	'sweep -spec specs/smoke.json -format csv'
+cli-check:
+	@mkdir -p bin
+	$(GO) build -o bin/ ./cmd/hmsim ./cmd/nosim ./cmd/sweep
+	@status=0; for args in $(CLI_BAD); do \
+		if out="$$(bin/$$args 2>&1)"; then \
+			echo "cli-check: $$args exited 0" >&2; status=1; \
+		elif printf '%s\n' "$$out" | grep -qE '^(panic:|goroutine )'; then \
+			echo "cli-check: $$args printed a stack trace:" >&2; echo "$$out" >&2; status=1; \
+		fi; \
+	done; exit $$status
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nosim:", err)
 		if errors.Is(err, no.ErrUsage) {
-			fmt.Fprintln(os.Stderr, "hint: -p must divide -n and both must fit the algorithm's shape (powers of two for fft/sort/psum, n a square for mt); try e.g. -n 1024 -p 8")
+			fmt.Fprintln(os.Stderr, "hint: -p must divide -n and both must fit the algorithm's shape (powers of two for fft/sort/prefix, n a square for mt, mm and ngep); try e.g. -n 1024 -p 8")
 		}
 		os.Exit(1)
 	}

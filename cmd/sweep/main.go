@@ -1,15 +1,15 @@
 // Command sweep is the controlled-experiment engine: it expands a JSON
 // spec into a grid of (algorithm, machine, size, seed, options) configs,
-// fans the runs out across worker goroutines, and streams one row per run
-// to JSONL or CSV — in grid order, byte-identical for every worker count,
-// because each run is an independent deterministic simulation whose row
-// waits in its grid cell's slot until every earlier row is written.  The
-// progress line on stderr counts written rows.
+// fans the runs out across worker goroutines, and streams one JSONL row per
+// run in grid order, byte-identical for every worker count, because each
+// run is an independent deterministic simulation whose row waits in its
+// grid cell's slot until every earlier row is written.  The progress line
+// on stderr counts written rows.
 //
 // Usage:
 //
-//	sweep -spec specs/sb_vs_flat.json [-out results.jsonl] [-format jsonl|csv]
-//	      [-workers N] [-resume] [-hypothesis] [-quiet]
+//	sweep -spec specs/sb_vs_flat.json [-out results.jsonl] [-workers N]
+//	      [-resume] [-hypothesis] [-quiet]
 //
 // With -resume, rows whose config hash is already present in -out are
 // skipped and the file is appended to, so a killed sweep picks up where it
@@ -40,20 +40,19 @@ func main() {
 	var (
 		specPath   = flag.String("spec", "", "path to the sweep spec (JSON, required)")
 		outPath    = flag.String("out", "", "output file (default stdout)")
-		format     = flag.String("format", "jsonl", "output format: jsonl or csv")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent runs (output is identical for any value)")
-		resume     = flag.Bool("resume", false, "skip configs already present in -out and append (jsonl only)")
+		resume     = flag.Bool("resume", false, "skip configs already present in -out and append")
 		hypothesis = flag.Bool("hypothesis", false, "evaluate the spec's hypotheses after the sweep; exit 1 on any failure")
 		quiet      = flag.Bool("quiet", false, "suppress progress reporting on stderr")
 	)
 	flag.Parse()
-	if err := run(*specPath, *outPath, *format, *workers, *resume, *hypothesis, *quiet); err != nil {
+	if err := run(*specPath, *outPath, *workers, *resume, *hypothesis, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
 }
 
-func run(specPath, outPath, format string, workers int, resume, hypothesis, quiet bool) error {
+func run(specPath, outPath string, workers int, resume, hypothesis, quiet bool) error {
 	if specPath == "" {
 		return fmt.Errorf("-spec is required")
 	}
@@ -72,9 +71,6 @@ func run(specPath, outPath, format string, workers int, resume, hypothesis, quie
 	var done map[string]bool
 	var prior []sweep.Row
 	if resume {
-		if format != "jsonl" {
-			return fmt.Errorf("-resume needs -format jsonl (rows are keyed by the hash field)")
-		}
 		if outPath == "" {
 			return fmt.Errorf("-resume needs -out")
 		}
@@ -104,15 +100,7 @@ func run(specPath, outPath, format string, workers int, resume, hypothesis, quie
 		defer f.Close()
 		out = f
 	}
-	var w sweep.Writer
-	switch format {
-	case "jsonl":
-		w = sweep.NewJSONLWriter(out)
-	case "csv":
-		w = sweep.NewCSVWriter(out)
-	default:
-		return fmt.Errorf("unknown format %q (want jsonl or csv)", format)
-	}
+	w := sweep.NewJSONLWriter(out)
 
 	if !quiet {
 		fmt.Fprintf(os.Stderr, "sweep %s: %d configs (%d done), workers=%d\n",

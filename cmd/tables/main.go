@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 
 	"oblivhm/internal/gep"
@@ -35,9 +36,9 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "smaller sweeps")
-	workers := flag.Int("workers", 4, "concurrent simulated runs per section (output is identical for any value)")
 	flag.Parse()
 	w := os.Stdout
+	workers := runtime.GOMAXPROCS(0) // the sections' output is identical for any value
 
 	fmt.Fprintln(w, "==================================================================")
 	fmt.Fprintln(w, "Table I — D vs D* recursion orderings (N-GEP, experiment E10)")
@@ -48,7 +49,7 @@ func main() {
 	fmt.Fprintln(w, "==================================================================")
 	fmt.Fprintln(w, "Table II — MO cache complexity (per-level max misses vs formula)")
 	fmt.Fprintln(w, "==================================================================")
-	tableIIMO(w, *quick, *workers)
+	tableIIMO(w, *quick, workers)
 
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "==================================================================")
@@ -60,7 +61,7 @@ func main() {
 	fmt.Fprintln(w, "==================================================================")
 	fmt.Fprintln(w, "E13 — scheduler ablation: SB hierarchy vs flat proportionate slice")
 	fmt.Fprintln(w, "==================================================================")
-	ablation(w, *quick, *workers)
+	ablation(w, *quick, workers)
 
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "==================================================================")
@@ -72,7 +73,7 @@ func main() {
 	fmt.Fprintln(w, "==================================================================")
 	fmt.Fprintln(w, "Ablation — ideal (fully associative) vs 8-way set-associative")
 	fmt.Fprintln(w, "==================================================================")
-	assocAblation(w, *quick, *workers)
+	assocAblation(w, *quick, workers)
 
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "==================================================================")

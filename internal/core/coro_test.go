@@ -78,7 +78,7 @@ func TestRunsStopEveryStrand(t *testing.T) {
 				t.Fatal(out.Err)
 			}
 			if out.Recovery.KilledStrands == 0 {
-				t.Fatal("no strand was killed: the poison path went unexercised")
+				t.Fatal("no strand was killed: killStrand went unexercised")
 			}
 		}},
 	} {

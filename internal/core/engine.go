@@ -55,7 +55,7 @@ import (
 type yieldKind int
 
 const (
-	yStopped yieldKind = iota // the zero message of a stopped coroutine: an engine bug
+	yStopped yieldKind = iota // the zero message of a stopped (drained or killed) coroutine: an engine bug
 	yBudget                   // budget exhausted, still runnable
 	yBlocked                  // parked on a join or a cache queue
 	yDone                     // function returned (or panicked)
@@ -78,8 +78,8 @@ type strand struct {
 	started bool  // this assignment has received its first grant
 
 	// The strand's coroutine (coro.go).  next runs it until its next yield
-	// and returns the yielded message; stop unwinds it for good (drain).
-	// yieldFn is main's yield, through which the strand suspends.
+	// and returns the yielded message; stop unwinds it for good (drain,
+	// killStrand).  yieldFn is main's yield, through which it suspends.
 	next    func() (yieldMsg, bool)
 	stop    func()
 	yieldFn func(yieldMsg) bool
@@ -730,11 +730,11 @@ func (e *engine) leastLoadedSlot(lambda *hm.Cache, j int) *cacheSlot {
 
 // resume grants st budget operations plus rounds whole batch rounds and runs
 // its coroutine until the strand yields, returning what it yielded; a
-// stopped coroutine returns the zero message, yStopped, which both callers
-// refuse.  Every engine-side entry into a strand goes through it, a turn
-// (runCore) and the poison grant (killStrand); only drain's stop bypasses
-// it.  It inlines, so a turn calls nothing of the engine's on its way to
-// the coroutine (make inline-check).
+// stopped coroutine returns the zero message, yStopped, which runCore
+// refuses.  A turn (runCore) is the one engine-side entry into a running
+// strand; drain and killStrand only stop coroutines.  It inlines, so a turn
+// calls nothing of the engine's on its way to the coroutine (make
+// inline-check).
 func (st *strand) resume(budget, rounds int64) yieldMsg {
 	st.budget, st.rounds = budget, rounds
 	msg, _ := st.next()
@@ -744,7 +744,7 @@ func (st *strand) resume(budget, rounds int64) yieldMsg {
 // main is the strand's coroutine body: a pooled worker loop.  Each iteration
 // runs one assignment and yields yDone; the next resume after the engine
 // recycles the strand starts the following assignment on the same (grown)
-// stack.  A false yield means drain stopped the coroutine: main returns.
+// stack.  A false yield means the coroutine was stopped: main returns.
 func (st *strand) main(yield func(yieldMsg) bool) {
 	st.yieldFn = yield
 	for {
@@ -764,11 +764,11 @@ func (st *strand) main(yield func(yieldMsg) bool) {
 }
 
 // suspend yields msg to the engine and returns once resume has set the next
-// grant.  Two unwind paths panic with killedStrand instead, both recovered
-// by main: the poison grant (killStrand), which surfaces as a yDone, and a
-// stopped coroutine (drain), after which main returns.
+// grant.  When the coroutine is stopped instead (drain, or killStrand for a
+// strand of a dead core) it panics with killedStrand, which unwinds the task
+// into main's recover, after which main returns.
 func (st *strand) suspend(msg yieldMsg) {
-	if !st.yieldFn(msg) || st.budget == poisonBudget {
+	if !st.yieldFn(msg) {
 		panic(killedStrand{})
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -119,9 +118,9 @@ type failInj struct {
 	plan FailurePlan
 
 	events   []failEvent
-	next     int     // next unfired event index
-	slow     []int64 // per-core budget divisor; 0/1 = full speed
-	missBase []int64 // per-level total misses at the first event, nil before it
+	next     int             // next unfired event index
+	slow     []int64         // per-core budget divisor; 0/1 = full speed
+	missBase []hm.LevelStats // the per-level counts at the first event, nil before it
 
 	rep RecoveryReport
 }
@@ -253,7 +252,7 @@ func (e *engine) fireFailures() bool {
 		if f.missBase == nil {
 			// The first event stamps the baseline of the post-failure deltas.
 			f.rep.FirstFailureClock = e.clock
-			f.missBase = e.levelMisses()
+			f.missBase = e.m.Stats().Levels
 		}
 		switch ev.kind {
 		case fkKill:
@@ -271,19 +270,6 @@ func (e *engine) fireFailures() bool {
 		f.rep.RecoveryRounds++
 	}
 	return acted
-}
-
-// levelMisses sums the miss counters of each cache level, after syncing
-// the machine.
-func (e *engine) levelMisses() []int64 {
-	e.m.Sync()
-	tot := make([]int64, len(e.slots))
-	for i, level := range e.slots {
-		for _, sl := range level {
-			tot[i] += sl.cache.Stats.Misses
-		}
-	}
-	return tot
 }
 
 // killCore fail-stops core c: drain its run queue (migrating unstarted
@@ -331,21 +317,14 @@ func (e *engine) migrateStrand(st *strand) {
 	e.fail.rep.MigratedStrands++
 }
 
-// poisonBudget is the sentinel grant that tells a suspended strand to
-// unwind: suspend panics with killedStrand, the panic is recovered by the
-// pooled worker loop like any task failure, and killStrand consumes the
-// resulting yDone.  Real budgets are always positive.
-const poisonBudget = int64(math.MinInt64)
-
-// killedStrand is the private panic value of a poisoned or stopped strand.
+// killedStrand is the private panic value of a stopped strand.
 type killedStrand struct{}
 
 // killStrand kills an in-flight strand of a dead core and re-executes its
-// work: the strand's task is unwound by resuming its coroutine with the
-// poison budget (an ordinary resume/yield turn, so the protocol invariants
-// hold), the strand returns to the pool with its engine accounting rolled
-// back, and a replacement strand running the same recorded closure is
-// enqueued on a surviving core with the dead strand's join and reservation.
+// work: the strand's coroutine is stopped as drain stops every coroutine
+// (its task unwinds, and the strand is never pooled again), and a
+// replacement strand running the same recorded closure is enqueued on a
+// surviving core with the dead strand's join and reservation.
 func (e *engine) killStrand(st *strand) {
 	f := e.fail
 	if st.blockIdx >= 0 {
@@ -356,33 +335,22 @@ func (e *engine) killStrand(st *strand) {
 		// completion must not resurrect the dead strand.  The join leaks
 		// (never recycled) — the replacement waits on a fresh one.
 		st.waitingOn.waiter = nil
-		st.waitingOn = nil
 	}
-	fn, jn, label, anchor := st.fn, st.jn, st.label, st.anchor
-	reserved, resSpace := st.reserved, st.resSpace
-
-	// Unwind the task.  The strand is suspended (inside chargeSlow or
-	// park); the poison makes suspend panic with killedStrand, which unwinds
-	// the task function and surfaces as a yDone through the pooled worker
-	// loop's recover.
-	msg := st.resume(poisonBudget, 0)
-	if msg.kind != yDone {
-		panic(fmt.Sprintf("core: poisoned strand yielded %d, want yDone", msg.kind))
-	}
-
+	// The strand is suspended (inside chargeSlow or park): stopping its
+	// coroutine makes suspend panic with killedStrand, which unwinds the
+	// task function into main's recover, and main returns.
+	st.stop()
 	e.live--
 	e.load[st.core]--
 	f.rep.KilledStrands++
-	st.fn, st.jn, st.reserved, st.waitingOn = nil, nil, nil, nil
-	e.pool = append(e.pool, st)
 
 	// Replacement: same closure, same join, same reservation, surviving
 	// core.  newStrand already tagged it if the join is a recovery join;
 	// either way the replacement is counted once.
-	ns := e.newStrand(e.redirectCore(anchor), anchor, jn, fn, label)
-	ns.reserved, ns.resSpace = reserved, resSpace
+	ns := e.newStrand(e.redirectCore(st.anchor), st.anchor, st.jn, st.fn, st.label)
+	ns.reserved, ns.resSpace = st.reserved, st.resSpace
 	f.tagRecov(ns)
-	e.emit(EvReexec, ns.core, anchor.Level, anchor.Index, resSpace)
+	e.emit(EvReexec, ns.core, st.anchor.Level, st.anchor.Index, st.resSpace)
 	e.enqueue(ns)
 }
 
@@ -510,9 +478,8 @@ func (f *failInj) report(e *engine) *RecoveryReport {
 	rep.DeadCores = append([]int(nil), f.rep.DeadCores...)
 	rep.StragglerCores = append([]int(nil), f.rep.StragglerCores...)
 	if f.missBase != nil {
-		rep.PostFailureMissDelta = e.levelMisses()
-		for i, b := range f.missBase {
-			rep.PostFailureMissDelta[i] -= b
+		for i, l := range e.m.Stats().Levels {
+			rep.PostFailureMissDelta = append(rep.PostFailureMissDelta, l.TotalMisses-f.missBase[i].TotalMisses)
 		}
 	}
 	return &rep

@@ -138,7 +138,7 @@ func TestParallelRoundsFailure(t *testing.T) {
 			t.Fatalf("expected *RunError, got %v", err)
 		}
 		re.Value = nil // the panic value holds a pointer
-		return *re, s.eng.clock, s.Machine().Accesses
+		return *re, s.eng.clock, s.Machine().Stats().Accesses
 	}
 	re1, clock1, acc1 := run()
 	re2, clock2, acc2 := run(WithParallelRounds(4))

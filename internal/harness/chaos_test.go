@@ -248,6 +248,29 @@ func TestNonSquareNReturnsError(t *testing.T) {
 	}
 }
 
+// TestNOSizeNamesN: the NO workloads that build a side x side matrix refuse
+// an n below 1 or not a perfect square with a no.ErrUsage error naming n,
+// instead of running the floored side and reporting it under n; a square n
+// gives the result it always gave.
+func TestNOSizeNamesN(t *testing.T) {
+	for _, tc := range []struct{ algo, at1024 string }{
+		{"mt", "mt       N=1024     p=4   B=2   comm=96       predicted=128        ratio=0.75   comp=512        supersteps=2      dbsp=384"},
+		{"mm", "mm       N=1024     p=4   B=2   comm=1152     predicted=256        ratio=4.50   comp=50432      supersteps=76     dbsp=4608"},
+		{"ngep", "ngep     N=1024     p=4   B=2   comm=1920     predicted=256        ratio=7.50   comp=134400     supersteps=880    dbsp=7680"},
+		{"ngep-d", "ngep-d   N=1024     p=4   B=2   comm=1920     predicted=256        ratio=7.50   comp=134400     supersteps=880    dbsp=7680"},
+	} {
+		for _, n := range []int{1030, 0} {
+			_, err := RunNO(tc.algo, n, 4, 2)
+			if !errors.Is(err, no.ErrUsage) || !strings.Contains(err.Error(), fmt.Sprintf("n = %d", n)) {
+				t.Errorf("%s at n = %d: want a no.ErrUsage error naming n, got %v", tc.algo, n, err)
+			}
+		}
+		if res, err := RunNO(tc.algo, 1024, 4, 2); err != nil || res.String() != tc.at1024 {
+			t.Errorf("%s at n = 1024: got %v, %v; want %s", tc.algo, res, err, tc.at1024)
+		}
+	}
+}
+
 // TestInvalidNOShapeReturnsError: PE-count and shape violations in the NO
 // substrate come back as errors wrapping no.ErrUsage, not stack traces.
 func TestInvalidNOShapeReturnsError(t *testing.T) {

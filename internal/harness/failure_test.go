@@ -42,9 +42,15 @@ type failureSnapshot struct {
 	Recovery *core.RecoveryReport `json:"recovery"`
 }
 
-func measureFailure(t *testing.T, algo, machine, set string) failureSnapshot {
+// measureFailure runs one cell of the matrix, with extra appended to its
+// option set.
+func measureFailure(t *testing.T, algo, machine, set string, extra ...core.Opt) failureSnapshot {
 	t.Helper()
-	res, err := Run(RunConfig{Algo: algo, Machine: machine, N: failureN, Options: set})
+	opts, err := OptionSet(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunMO(algo, machine, failureN, append(opts, extra...)...)
 	if err != nil {
 		t.Fatalf("%s/%s/%s: %v", algo, machine, set, err)
 	}
@@ -54,45 +60,69 @@ func measureFailure(t *testing.T, algo, machine, set string) failureSnapshot {
 	return failureSnapshot{Metrics: metricsTuple(res), Recovery: res.Recovery}
 }
 
-// TestGoldenFailureMatrix pins {mm, mt, spmdv} × {mc3, hm4, hm5} × the three
-// failure option sets against testdata/golden_failures.json.  Any change to
-// schedule derivation, kill/migration order, re-execution accounting or the
-// degraded-mode metrics fails here.
-func TestGoldenFailureMatrix(t *testing.T) {
+// failureMatrix measures every cell of the matrix, with extra appended to
+// each option set, keyed algo/machine/set.
+func failureMatrix(t *testing.T, extra ...core.Opt) map[string]failureSnapshot {
+	t.Helper()
 	got := make(map[string]failureSnapshot)
 	for _, algo := range failureAlgos {
 		for _, machine := range failureMachines {
 			for _, set := range failureSets {
 				key := fmt.Sprintf("%s/%s/%s", algo, machine, set)
-				got[key] = measureFailure(t, algo, machine, set)
+				got[key] = measureFailure(t, algo, machine, set, extra...)
 			}
 		}
 	}
-	path := filepath.Join("testdata", "golden_failures.json")
+	return got
+}
+
+var failureGolden = filepath.Join("testdata", "golden_failures.json")
+
+// TestGoldenFailureMatrix pins {mm, mt, spmdv} × {mc3, hm4, hm5} × the three
+// failure option sets against testdata/golden_failures.json.  Any change to
+// schedule derivation, kill/migration order, re-execution accounting or the
+// degraded-mode metrics fails here.
+func TestGoldenFailureMatrix(t *testing.T) {
+	got := failureMatrix(t)
 	if *update {
 		buf, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(failureGolden), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(failureGolden, append(buf, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d snapshots to %s", len(got), path)
+		t.Logf("wrote %d snapshots to %s", len(got), failureGolden)
 		return
 	}
-	buf, err := os.ReadFile(path)
+	checkFailureGolden(t, got)
+}
+
+// TestGoldenFailureMatrixUnderInvariants runs the matrix again with the
+// engine's per-round invariant checks on: every run must pass them and
+// reproduce its golden tuple.  Strand conservation is what sees a killed
+// strand left as the waiter of its join: the join's last child queues it on
+// its dead core, where it never runs.
+func TestGoldenFailureMatrixUnderInvariants(t *testing.T) {
+	checkFailureGolden(t, failureMatrix(t, core.WithInvariants()))
+}
+
+// checkFailureGolden compares a measured matrix with the golden snapshot.
+func checkFailureGolden(t *testing.T, got map[string]failureSnapshot) {
+	t.Helper()
+	buf, err := os.ReadFile(failureGolden)
 	if err != nil {
-		t.Fatalf("missing golden snapshot %s (run with -update to create): %v", path, err)
+		t.Fatalf("missing golden snapshot %s (run with -update to create): %v", failureGolden, err)
 	}
 	want := map[string]failureSnapshot{}
 	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatalf("corrupt golden snapshot %s: %v", path, err)
+		t.Fatalf("corrupt golden snapshot %s: %v", failureGolden, err)
 	}
 	if len(want) != len(got) {
-		t.Errorf("%s: snapshot has %d entries, matrix has %d (run -update after reviewing)", path, len(want), len(got))
+		t.Errorf("%s: snapshot has %d entries, matrix has %d (run -update after reviewing)", failureGolden, len(want), len(got))
 	}
 	var keys []string
 	for k := range got {
@@ -102,7 +132,7 @@ func TestGoldenFailureMatrix(t *testing.T) {
 	for _, k := range keys {
 		w, ok := want[k]
 		if !ok {
-			t.Errorf("%s: no snapshot for %s (run -update after reviewing)", path, k)
+			t.Errorf("%s: no snapshot for %s (run -update after reviewing)", failureGolden, k)
 			continue
 		}
 		if !reflect.DeepEqual(w, got[k]) {
@@ -182,15 +212,7 @@ func TestFailureSweepDeterministicOutcome(t *testing.T) {
 func TestFailureParallelRoundsByteIdentical(t *testing.T) {
 	for _, set := range failureSets {
 		want := measureFailure(t, "mm", "hm4", set)
-		opts, err := OptionSet(set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := RunMO("mm", "hm4", failureN, append(opts, core.WithParallelRounds(2))...)
-		if err != nil {
-			t.Fatalf("%s: %v", set, err)
-		}
-		if got := (failureSnapshot{Metrics: metricsTuple(res), Recovery: res.Recovery}); !reflect.DeepEqual(want, got) {
+		if got := measureFailure(t, "mm", "hm4", set, core.WithParallelRounds(2)); !reflect.DeepEqual(want, got) {
 			t.Errorf("%s diverged:\n  want %+v / %+v\n  got  %+v / %+v",
 				set, want.Metrics, want.Recovery, got.Metrics, got.Recovery)
 		}

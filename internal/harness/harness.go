@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"oblivhm/internal/core"
@@ -96,9 +97,6 @@ func RunMO(algo, machine string, n int, opts ...core.Opt) (MOResult, error) {
 // RunMOOnConfig is RunMO for an explicit machine configuration (used by the
 // speedup sweeps, which vary the core count).
 func RunMOOnConfig(algo string, cfg hm.Config, n int, opts ...core.Opt) (MOResult, error) {
-	if n < 1 {
-		return MOResult{}, fmt.Errorf("input size n = %d, want n >= 1", n)
-	}
 	m, err := hm.NewMachine(cfg)
 	if err != nil {
 		return MOResult{}, err
@@ -151,8 +149,11 @@ const defaultDataSeed = 42
 // The stream stays math/rand (not splitmix64) because the golden snapshots
 // pin the inputs it produced at seed time.
 func runWorkload(s *core.Session, algo string, n int, seed int64) (core.RunStats, predictFn, error) {
-	if side := intSqrt(n); squareInput(algo) && side*side != n {
-		return core.RunStats{}, nil, fmt.Errorf("input size n = %d is not a perfect square, which %s needs as side x side", n, algo)
+	if !slices.Contains(MOAlgos(), algo) {
+		return core.RunStats{}, nil, fmt.Errorf("unknown MO algorithm %q (have %s)", algo, strings.Join(MOAlgos(), ", "))
+	}
+	if err := checkSize(algo, n); err != nil {
+		return core.RunStats{}, nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	var (
@@ -271,9 +272,6 @@ func runWorkload(s *core.Session, algo string, n int, seed int64) (core.RunStats
 			w := 3 * nn
 			return w / (q * b) * logBase(c, w) * math.Log2(w)
 		}
-
-	default:
-		return core.RunStats{}, nil, fmt.Errorf("unknown MO algorithm %q (have %s)", algo, strings.Join(MOAlgos(), ", "))
 	}
 	st, err := s.TryRunCold(space, run)
 	return st, predict, err
@@ -309,9 +307,10 @@ func NOAlgos() []string {
 }
 
 // RunNO runs the named NO workload on M(p,B) and reports communication
-// against the Table II formula.  Machine-shape violations (p not dividing
-// n, non-power-of-two PE counts, ...) come back as errors wrapping
-// no.ErrUsage rather than panics, so CLIs can print a usage hint.
+// against the Table II formula.  Machine-shape and size violations (p not
+// dividing n, non-power-of-two PE counts, an n checkSize refuses, ...) come
+// back as errors wrapping no.ErrUsage rather than panics, so CLIs can print
+// a usage hint.
 func RunNO(algo string, n, p, b int) (res NOResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -324,6 +323,12 @@ func RunNO(algo string, n, p, b int) (res NOResult, err error) {
 	}()
 	if b < 1 {
 		return NOResult{}, no.Usagef("no: block size B=%d must be at least 1", b)
+	}
+	if !slices.Contains(NOAlgos(), algo) {
+		return NOResult{}, fmt.Errorf("unknown NO algorithm %q (have %s)", algo, strings.Join(NOAlgos(), ", "))
+	}
+	if err := checkSize(algo, n); err != nil {
+		return NOResult{}, no.Usagef("%w", err)
 	}
 	rng := rand.New(rand.NewSource(7))
 	var w *no.World
@@ -421,9 +426,6 @@ func RunNO(algo string, n, p, b int) (res NOResult, err error) {
 			e.RunGEP(side, in)
 		}
 		predicted = float64(side*side) / (math.Sqrt(float64(p)) * float64(b))
-
-	default:
-		return NOResult{}, fmt.Errorf("unknown NO algorithm %q (have %s)", algo, strings.Join(NOAlgos(), ", "))
 	}
 	res = NOResult{
 		Algo: algo, N: n, P: p, B: b,
@@ -486,14 +488,20 @@ func randomEdges(n, m int, rng *rand.Rand) [][2]int {
 	return edges
 }
 
-// squareInput reports whether algo builds a side x side matrix or grid
-// from n = side² words.
-func squareInput(algo string) bool {
-	switch algo {
-	case "mt", "mt-naive", "mm", "mm-tiled", "gep", "gep-ref", "spmdv", "spmdv-rand":
-		return true
+// checkSize refuses an input size algo cannot take: n < 1, or an n that is
+// not a perfect square for an algo, of either model, that builds a side x
+// side matrix or grid from n = side² words.
+func checkSize(algo string, n int) error {
+	if n < 1 {
+		return fmt.Errorf("input size n = %d, want n >= 1", n)
 	}
-	return false
+	switch algo {
+	case "mt", "mt-naive", "mm", "mm-tiled", "gep", "gep-ref", "spmdv", "spmdv-rand", "ngep", "ngep-d":
+		if side := intSqrt(n); side*side != n {
+			return fmt.Errorf("input size n = %d is not a perfect square, which %s needs as side x side", n, algo)
+		}
+	}
+	return nil
 }
 
 func intSqrt(n int) int {

@@ -18,7 +18,7 @@ import (
 // RunConfig identifies one simulated experiment — the cell of a sweep grid.
 // The zero Seed means chaos off; any other value runs the workload under
 // the deterministic fault injector with that seed (core.WithChaos).  Its
-// JSON field names are the row schema of every sweep output format.
+// JSON field names are the row schema of the sweep's JSONL output.
 type RunConfig struct {
 	Algo    string `json:"algo"`
 	Machine string `json:"machine"`

@@ -29,9 +29,6 @@ func TestInjectCacheFault(t *testing.T) {
 	if l1.Stats != preStats {
 		t.Fatalf("fault changed traffic counters: %+v -> %+v", preStats, l1.Stats)
 	}
-	if m.Faults != 1 {
-		t.Fatalf("machine Faults = %d, want 1", m.Faults)
-	}
 	// Memory stays authoritative: the data survives, only locality is lost.
 	for i := int64(0); i < 256; i++ {
 		if got := m.Peek(base + Addr(i)); got != uint64(i) {
@@ -45,11 +42,5 @@ func TestInjectCacheFault(t *testing.T) {
 	}
 	if l1.Stats.Misses != preMisses+1 {
 		t.Fatalf("reload after fault: misses %d -> %d, want +1", preMisses, l1.Stats.Misses)
-	}
-	// ResetStats does not clear the fault counter: faults are machine
-	// events, not per-run traffic.
-	m.ResetStats()
-	if m.Faults != 1 {
-		t.Fatalf("ResetStats cleared Faults: %d", m.Faults)
 	}
 }

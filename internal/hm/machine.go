@@ -22,8 +22,7 @@ type Addr int64
 // Store apply their record at once.  Stats, ResetStats, FlushCaches,
 // InjectCacheFault, StartTrace and EndTrace call Sync first, so their
 // counts are exact, and the window goes on recording; a direct read of a
-// cache's Stats or of Accesses is current outside a window and after
-// Stats or Sync.
+// cache's Stats is current outside a window and after Stats or Sync.
 type Machine struct {
 	Cfg Config
 
@@ -80,16 +79,6 @@ type Machine struct {
 	// Steps is advanced by the engine (virtual time); kept here so stats
 	// snapshots carry both time and traffic.
 	Steps int64
-
-	// Accesses counts the loads and stores issued.  Inside a window it
-	// lags by the records of the current batch, which are added at the
-	// batch's hand-off and at Sync.
-	Accesses int64
-
-	// Faults counts transient cache faults injected by InjectCacheFault
-	// (core.WithFailures).  Not reset by ResetStats: a fault is a machine
-	// event, not run traffic.
-	Faults int64
 }
 
 // NewMachine validates cfg and builds the cache tree.
@@ -398,8 +387,8 @@ func (m *Machine) Poke(a Addr, v uint64) {
 	pageOf(&m.mem, int64(a>>memPageShift))[a&memPageMask] = v
 }
 
-// ResetStats zeroes every cache counter and the access/step counters;
-// contents and heap are preserved.  Like every reader of the caches below,
+// ResetStats zeroes every cache counter and the step counter; contents
+// and heap are preserved.  Like every reader of the caches below,
 // it calls Sync first, and a window goes on recording.
 func (m *Machine) ResetStats() {
 	m.Sync()
@@ -409,7 +398,6 @@ func (m *Machine) ResetStats() {
 		}
 	}
 	m.Steps = 0
-	m.Accesses = 0
 }
 
 // InjectCacheFault models a transient fault at the level-level cache with
@@ -434,7 +422,6 @@ func (m *Machine) InjectCacheFault(level, index int) int64 {
 	c := m.ByLevel[level-1][index]
 	dropped := c.Resident()
 	c.Flush()
-	m.Faults++
 	return dropped
 }
 
@@ -468,14 +455,17 @@ type LevelStats struct {
 // Snapshot summarises a run.
 type Snapshot struct {
 	Steps    int64
-	Accesses int64
+	Accesses int64 // loads and stores issued: each is one L1 hit or one L1 miss
 	Levels   []LevelStats
 }
 
 // Stats returns the current per-level aggregates, after Sync.
 func (m *Machine) Stats() Snapshot {
 	m.Sync()
-	s := Snapshot{Steps: m.Steps, Accesses: m.Accesses}
+	s := Snapshot{Steps: m.Steps}
+	for _, c := range m.ByLevel[0] {
+		s.Accesses += c.Stats.Hits + c.Stats.Misses
+	}
 	for i, level := range m.ByLevel {
 		ls := LevelStats{Level: i + 1, Caches: len(level)}
 		for _, c := range level {

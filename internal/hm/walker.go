@@ -71,13 +71,11 @@ func (m *Machine) Begin() {
 
 // Sync applies the records still pending, waits for the walker and stops
 // it; the window goes on recording.  Outside a window it does nothing.
-// Every cache counter, Accesses and the trace digest are current
-// afterwards.
+// Every cache counter and the trace digest are current afterwards.
 func (m *Machine) Sync() {
 	if m.rec == nil {
 		return
 	}
-	m.Accesses += int64(m.n)
 	if w := m.wk; w != nil {
 		w.full <- m.rec[:m.n]
 		close(w.full)
@@ -112,7 +110,6 @@ func (m *Machine) End() {
 // its last slot and leaves the hand-off to the next issue or to Sync.
 func (m *Machine) issue(r uint64) {
 	if m.rec == nil {
-		m.Accesses++
 		m.apply([]uint64{r})
 		return
 	}
@@ -123,12 +120,11 @@ func (m *Machine) issue(r uint64) {
 	m.n++
 }
 
-// handOff passes a full batch on and counts its accesses.  With no walker
-// running it starts one if a CPU is free; otherwise it applies the batch
-// itself and the window goes on recording into the same batch, so a
-// later full batch may still start a walker.
+// handOff passes a full batch on.  With no walker running it starts one
+// if a CPU is free; otherwise it applies the batch itself and the window
+// goes on recording into the same batch, so a later full batch may still
+// start a walker.
 func (m *Machine) handOff() {
-	m.Accesses += batchWords
 	if m.wk == nil {
 		if !claimCPU() {
 			m.apply(m.rec)

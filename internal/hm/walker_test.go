@@ -30,13 +30,9 @@ func begin(t *testing.T, m *Machine) {
 }
 
 // sameCounts fails unless every cache of the two machines has the same
-// Stats and Resident() and the machines the same Accesses; it reads the
-// fields directly, without syncing.
+// Stats and Resident(); it reads the fields directly, without syncing.
 func sameCounts(t *testing.T, when string, d, w *Machine) {
 	t.Helper()
-	if d.Accesses != w.Accesses {
-		t.Fatalf("%s: accesses direct %d, windowed %d", when, d.Accesses, w.Accesses)
-	}
 	for i, level := range d.ByLevel {
 		for j, c := range level {
 			wc := w.ByLevel[i][j]
@@ -57,7 +53,8 @@ func sameCounts(t *testing.T, when string, d, w *Machine) {
 // have their Stats read, the last two syncing the windowed twin, whose
 // window goes on recording and starts a new walker.  Every load must read
 // the same word, and at each sync and at End every cache's Stats and
-// Resident(), the Snapshot and every word of the heap must agree.
+// Resident(), the Snapshot and every word of the heap must agree, and the
+// Snapshot must count every access issued.
 func TestWalkerMatchesDirect(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, name := range []string{"seq", "mc3", "mc3a", "hm4", "hm5"} {
@@ -78,7 +75,9 @@ func TestWalkerMatchesDirect(t *testing.T) {
 			for i := range cursor {
 				cursor[i] = rng.Int63n(span)
 			}
+			var issued int64
 			stream := func(n int) {
+				issued += int64(n)
 				for i := 0; i < n; i++ {
 					core := rng.Intn(d.Cores())
 					var off int64
@@ -103,8 +102,12 @@ func TestWalkerMatchesDirect(t *testing.T) {
 			}
 			same := func(when string) {
 				t.Helper()
-				if ds, ws := d.Stats(), w.Stats(); !reflect.DeepEqual(ds, ws) {
+				ds, ws := d.Stats(), w.Stats()
+				if !reflect.DeepEqual(ds, ws) {
 					t.Fatalf("%s: snapshot direct %v, walker %v", when, ds, ws)
+				}
+				if ws.Accesses != issued {
+					t.Fatalf("%s: the snapshot counts %d accesses, %d were issued", when, ws.Accesses, issued)
 				}
 				sameCounts(t, when, d, w)
 				for a := Addr(0); a < Addr(d.HeapWords()); a++ {
@@ -228,9 +231,8 @@ func TestFastPath(t *testing.T) {
 				t.Fatalf("the fast path refused access %d of %d", i, batchWords)
 			}
 		}
-		if w.n != batchWords || w.wk != nil || w.Accesses != 0 {
-			t.Fatalf("after one batch: %d records, walker %v, %d accesses counted; want %d, false, 0",
-				w.n, w.wk != nil, w.Accesses, batchWords)
+		if w.n != batchWords || w.wk != nil {
+			t.Fatalf("after one batch: %d records, walker %v; want %d, false", w.n, w.wk != nil, batchWords)
 		}
 		if _, ok := w.TryLoad(0, a); ok {
 			t.Fatal("the fast path took a load into a full batch")
@@ -238,8 +240,8 @@ func TestFastPath(t *testing.T) {
 		if x, y := d.Load(0, a), w.Load(0, a); x != y {
 			t.Fatalf("load %d: direct %d, windowed %d", a, x, y)
 		}
-		if w.n != 1 || w.Accesses != batchWords {
-			t.Fatalf("after the hand-off: %d records, %d accesses; want 1, %d", w.n, w.Accesses, batchWords)
+		if w.n != 1 {
+			t.Fatalf("after the hand-off: %d records, want 1", w.n)
 		}
 		w.Sync()
 		sameCounts(t, "at Sync", d, w)
@@ -254,7 +256,8 @@ func TestFastPath(t *testing.T) {
 // window plus the running walkers are fewer than GOMAXPROCS, and is
 // otherwise applied on the caller's goroutine, the window recording on.  A
 // window shorter than one batch applies its records at Sync.  Each case
-// ends with the counts of a machine that was never begun.
+// ends with the counts of a machine that was never begun, and a snapshot
+// that counts every access issued.
 func TestWalkerTakesOnlyAFreeCPU(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n = 1 << 16
@@ -273,9 +276,11 @@ func TestWalkerTakesOnlyAFreeCPU(t *testing.T) {
 		begin(t, m)
 		return m, d, a
 	}
-	synced := func(t *testing.T, m, d *Machine) {
+	synced := func(t *testing.T, m, d *Machine, issued int64) {
 		t.Helper()
-		m.Sync()
+		if got := m.Stats().Accesses; got != issued {
+			t.Fatalf("the snapshot counts %d accesses, %d were issued", got, issued)
+		}
 		sameCounts(t, "at Sync", d, m)
 	}
 	t.Run("one CPU applies batches inline", func(t *testing.T) {
@@ -290,7 +295,7 @@ func TestWalkerTakesOnlyAFreeCPU(t *testing.T) {
 		if m.ByLevel[0][0].Stats.Misses == 0 {
 			t.Fatal("GOMAXPROCS 1: the full batches were not applied")
 		}
-		synced(t, m, d)
+		synced(t, m, d, 2*batchWords+1)
 	})
 	runtime.GOMAXPROCS(2)
 	t.Run("a short window starts nothing", func(t *testing.T) {
@@ -299,7 +304,7 @@ func TestWalkerTakesOnlyAFreeCPU(t *testing.T) {
 		if m.wk != nil || m.ByLevel[0][0].Stats.Misses != 0 {
 			t.Fatal("a window shorter than one batch walked before Sync")
 		}
-		synced(t, m, d)
+		synced(t, m, d, batchWords-1)
 	})
 	t.Run("a second machine records beside a walker", func(t *testing.T) {
 		m1, d1, a1 := twins(t)
@@ -312,8 +317,8 @@ func TestWalkerTakesOnlyAFreeCPU(t *testing.T) {
 		if m2.wk != nil || m2.rec == nil {
 			t.Fatalf("beside a walker: walker %v, recording %v; want no walker, recording", m2.wk != nil, m2.rec != nil)
 		}
-		synced(t, m2, d2)
-		synced(t, m1, d1)
+		synced(t, m2, d2, 2*batchWords+1)
+		synced(t, m1, d1, batchWords+1)
 	})
 	t.Run("a walker starts once a CPU frees up", func(t *testing.T) {
 		m1, d1, a1 := twins(t)
@@ -327,7 +332,7 @@ func TestWalkerTakesOnlyAFreeCPU(t *testing.T) {
 		if m1.wk == nil {
 			t.Fatal("no walker started at the full batch after a CPU freed up")
 		}
-		synced(t, m1, d1)
+		synced(t, m1, d1, 2*batchWords+1)
 	})
 	if k := walkers.Load() + windows.Load(); k != 0 {
 		t.Fatalf("%d walkers or windows left open", k)

@@ -3,7 +3,7 @@ package sweep
 import "oblivhm/internal/harness"
 
 // Config is one grid cell: the harness run it measures.  Its JSON field
-// names are the row schema of every output format, and its Key and Hash
+// names are the row schema of the JSONL output, and its Key and Hash
 // are the identity a resumed sweep matches rows by.
 type Config = harness.RunConfig
 

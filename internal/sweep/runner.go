@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -68,7 +67,7 @@ type RunnerOpts struct {
 // runs: each worker goroutine owns an independent deterministic
 // simulation, takes the next cell in grid order and puts its row in that
 // cell's one-row slot, and the calling goroutine emits slot by slot, so
-// emit (and any Writer behind it) needs no locking and sees the same byte
+// emit (and the JSONLWriter behind it) needs no locking and sees the same byte
 // stream whether Workers is 1 or 64.  An emit error stops the workers from
 // taking further cells and is returned; Run returns only once every worker
 // has exited.
@@ -147,12 +146,4 @@ func runOne(c Config) Row {
 		row.ReexecFrac = rec.ReexecWorkFraction()
 	}
 	return row
-}
-
-// String renders the row compactly for logs and progress lines.
-func (r Row) String() string {
-	if r.Err != "" {
-		return fmt.Sprintf("%s: error: %s", r.Key(), r.Err)
-	}
-	return fmt.Sprintf("%s: steps=%d work=%d steals=%d", r.Key(), r.Steps, r.Work, r.Steals)
 }

@@ -165,34 +165,6 @@ func TestProgressReporting(t *testing.T) {
 	}
 }
 
-func TestCSVWriter(t *testing.T) {
-	spec := &Spec{Algos: []string{"scan"}, Machines: []string{"mc3"}, Sizes: []int{256}}
-	rows, err := Collect(spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	w := NewCSVWriter(&buf)
-	for _, r := range rows {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("want header + 1 row, got %d lines:\n%s", len(lines), buf.String())
-	}
-	if lines[0] != strings.Join(csvHeader, ",") {
-		t.Errorf("header = %s", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "scan,mc3,256,default,0,") {
-		t.Errorf("row = %s", lines[1])
-	}
-}
-
 func TestReadRowsTornTail(t *testing.T) {
 	spec := &Spec{Algos: []string{"scan"}, Machines: []string{"mc3"}, Sizes: []int{64, 128}}
 	var buf bytes.Buffer

@@ -6,7 +6,7 @@
 // (each run is an independent deterministic simulation, so the fan-out is
 // embarrassingly parallel; within a run only the hm cache walk may take a
 // further CPU, and only one no worker is using), puts each run's row in
-// its grid cell's slot, and streams the slots to JSONL/CSV in grid order
+// its grid cell's slot, and streams the slots to JSONL in grid order
 // regardless of worker count: the engine's determinism contract (same
 // config + seed → byte-identical metrics) extends to the sweep layer byte
 // for byte.

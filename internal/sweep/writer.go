@@ -2,25 +2,16 @@ package sweep
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
-// Writer consumes rows in grid order.  Both implementations are plain
-// streaming encoders: a row is on the wire before the next run finishes,
-// so a killed sweep loses at most the rows still in the bufio window.
-type Writer interface {
-	Write(Row) error
-	Flush() error
-}
-
-// JSONLWriter streams one JSON object per line.  JSONL is the resumable
-// format: every row carries its config hash, and ReadDone recovers the
-// completed set from a partial file.
+// JSONLWriter streams one JSON object per line, the sweep's row format: a
+// row is on the wire before the next run finishes, so a killed sweep loses
+// at most the rows still in the bufio window, and every row carries its
+// config hash, so ReadDone recovers the completed set from a partial file.
 type JSONLWriter struct {
 	enc *json.Encoder
 	buf *bufio.Writer
@@ -33,54 +24,6 @@ func NewJSONLWriter(w io.Writer) *JSONLWriter {
 
 func (w *JSONLWriter) Write(r Row) error { return w.enc.Encode(r) }
 func (w *JSONLWriter) Flush() error      { return w.buf.Flush() }
-
-// csvHeader is the fixed CSV schema.  Per-level series are
-// semicolon-joined so the column set does not depend on the machine axis.
-var csvHeader = []string{
-	"algo", "machine", "n", "options", "seed", "hash",
-	"steps", "work", "steals", "misses", "placed_at",
-	"dead_cores", "migrated", "reexec", "reexec_frac", "err",
-}
-
-// CSVWriter streams rows in the fixed csvHeader schema.
-type CSVWriter struct {
-	w      *csv.Writer
-	header bool
-}
-
-func NewCSVWriter(w io.Writer) *CSVWriter { return &CSVWriter{w: csv.NewWriter(w)} }
-
-func (w *CSVWriter) Write(r Row) error {
-	if !w.header {
-		w.header = true
-		if err := w.w.Write(csvHeader); err != nil {
-			return err
-		}
-	}
-	misses := make([]string, len(r.Levels))
-	for i, l := range r.Levels {
-		misses[i] = strconv.FormatInt(l.MaxMisses, 10)
-	}
-	placed := make([]string, len(r.PlacedAt))
-	for i, p := range r.PlacedAt {
-		placed[i] = strconv.Itoa(p)
-	}
-	return w.w.Write([]string{
-		r.Algo, r.Machine, strconv.Itoa(r.N), r.Options,
-		strconv.FormatInt(r.Seed, 10), r.Hash,
-		strconv.FormatInt(r.Steps, 10), strconv.FormatInt(r.Work, 10),
-		strconv.FormatInt(r.Steals, 10),
-		strings.Join(misses, ";"), strings.Join(placed, ";"),
-		strconv.Itoa(r.DeadCores), strconv.FormatInt(r.Migrated, 10),
-		strconv.FormatInt(r.Reexec, 10),
-		strconv.FormatFloat(r.ReexecFrac, 'g', -1, 64), r.Err,
-	})
-}
-
-func (w *CSVWriter) Flush() error {
-	w.w.Flush()
-	return w.w.Error()
-}
 
 // ReadRows parses a JSONL result stream back into rows, tolerating a
 // truncated final line (the expected shape of a killed sweep).
